@@ -17,12 +17,11 @@
 
 use crate::credit::CreditManager;
 use ceio_host::{DrainRequest, HostState, IoPolicy, SteerDecision};
-use ceio_net::{FlowId, Packet};
+use ceio_net::{FlowId, FlowMap, Packet};
 use ceio_nic::{QueueId, SteerAction};
 use ceio_sim::{Duration, Time};
 use ceio_telemetry::SnapshotBuilder;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// MPQ tuning.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -80,7 +79,7 @@ pub struct MpqStats {
 pub struct MpqPolicy {
     cfg: MpqConfig,
     credits: CreditManager,
-    flows: BTreeMap<FlowId, FlowPrio>,
+    flows: FlowMap<FlowPrio>,
     stats: MpqStats,
 }
 
@@ -89,7 +88,7 @@ impl MpqPolicy {
     pub fn new(cfg: MpqConfig) -> MpqPolicy {
         MpqPolicy {
             credits: CreditManager::new(cfg.credit_total),
-            flows: BTreeMap::new(),
+            flows: FlowMap::new(),
             cfg,
             stats: MpqStats::default(),
         }

@@ -28,13 +28,12 @@ use crate::sharded::ShardedCredits;
 #[cfg(feature = "chaos")]
 use ceio_chaos::{FaultInjector, FaultSite};
 use ceio_host::{DrainRequest, HostState, IoPolicy, SteerDecision};
-use ceio_net::{FlowId, Packet};
+use ceio_net::{FlowId, FlowMap, Packet};
 use ceio_nic::{QueueId, SteerAction};
 use ceio_sim::Time;
 use ceio_telemetry::SnapshotBuilder;
 #[cfg(feature = "trace")]
 use ceio_telemetry::{merge_events, TraceEvent, TraceKind, TraceRing};
-use std::collections::BTreeMap;
 
 /// Per-flow controller bookkeeping.
 #[derive(Debug, Clone)]
@@ -130,9 +129,10 @@ pub struct CeioPolicy {
     /// introspection). At `num_queues == 1` it degenerates to the flat
     /// single-queue manager.
     pub credits: ShardedCredits,
-    /// Per-flow controller state, ordered by flow id so every sweep of
-    /// the control loop visits flows in the same (deterministic) order.
-    ctl: BTreeMap<FlowId, FlowCtl>,
+    /// Per-flow controller state, iterated in ascending flow id so every
+    /// sweep of the control loop visits flows in the same (deterministic)
+    /// order.
+    ctl: FlowMap<FlowCtl>,
     rr_order: Vec<FlowId>,
     rr_cursor: usize,
     next_rr: Time,
@@ -158,7 +158,7 @@ impl CeioPolicy {
     pub fn new(cfg: CeioConfig) -> CeioPolicy {
         CeioPolicy {
             credits: ShardedCredits::new(cfg.credit_total, cfg.num_queues.max(1)),
-            ctl: BTreeMap::new(),
+            ctl: FlowMap::new(),
             rr_order: Vec::new(),
             rr_cursor: 0,
             next_rr: Time::ZERO + cfg.rr_reactivate_interval,
@@ -364,13 +364,13 @@ impl CeioPolicy {
     }
 
     /// Rewrite every fast-path steering rule whose queue no longer matches
-    /// the machine's failover remap. Sweeps `ctl` in flow-id order (the
-    /// `BTreeMap` iteration order), so the re-steer sequence — and with it
-    /// the ARM-core charge timeline and RMT rewrite accounting — is fully
-    /// deterministic for a given failure. Slow-path rules are untouched:
+    /// the machine's failover remap. Sweeps `ctl` in ascending flow-id
+    /// order (the `FlowMap` iteration order), so the re-steer sequence —
+    /// and with it the ARM-core charge timeline and RMT rewrite
+    /// accounting — is fully deterministic for a given failure. Slow-path rules are untouched:
     /// their queue binding re-resolves when the fast path resumes.
     fn resteer_to_remap(&mut self, st: &mut HostState, now: Time) {
-        let flows: Vec<FlowId> = self.ctl.keys().copied().collect();
+        let flows: Vec<FlowId> = self.ctl.keys().collect();
         for flow in flows {
             let desired = QueueId(st.queue_of(flow));
             if let Some(SteerAction::FastPath { queue }) = st.rmt.action(&flow) {
@@ -669,7 +669,7 @@ impl IoPolicy for CeioPolicy {
         self.deliver_matured_releases(now);
         // Reclaim count is already folded into `CreditStats::lease_reclaims`.
         let _ = self.credits.expire_leases();
-        let ids: Vec<FlowId> = self.ctl.keys().copied().collect();
+        let ids: Vec<FlowId> = self.ctl.keys().collect();
         let mut active: Vec<FlowId> = Vec::new();
         let mut to_mark: Vec<FlowId> = Vec::new();
         let mut to_reclaim: Vec<FlowId> = Vec::new();
@@ -757,10 +757,10 @@ impl IoPolicy for CeioPolicy {
             // when every flow is deprioritized (e.g. a pure-DFS tenant),
             // the pool goes back to all of them evenly.
             if self.credits.free_pool() > 0 {
+                // Ascending either way: both come from `ctl`'s id order.
                 if active.is_empty() {
-                    active = self.ctl.keys().copied().collect();
+                    active = self.ctl.keys().collect();
                 }
-                active.sort_unstable();
                 self.credits.grant_evenly(&active);
             }
             // Round-robin re-activation backstop (§4.1 Q3 fairness).
@@ -1155,8 +1155,8 @@ impl IoPolicy for CeioPolicy {
             );
         }
         for flow in self.ctl.keys() {
-            let in_i = cm.in_insufficient(*flow);
-            let debt = cm.debt_of(*flow);
+            let in_i = cm.in_insufficient(flow);
+            let debt = cm.debt_of(flow);
             if in_i != (debt > 0) {
                 sink.report(
                     ctx,

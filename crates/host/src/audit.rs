@@ -240,7 +240,7 @@ impl Invariant<HostState> for DeliveryOrder {
         for (id, f) in &st.flows {
             let prev = self
                 .last_deliver
-                .insert(*id, f.next_deliver_seq)
+                .insert(id, f.next_deliver_seq)
                 .unwrap_or(0);
             if f.next_deliver_seq < prev {
                 sink.report(

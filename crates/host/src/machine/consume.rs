@@ -155,8 +155,8 @@ impl<P: IoPolicy> Machine<P> {
                 .map(|f| f.active || f.has_pending_work())
                 .unwrap_or(false)
         });
-        let served = self.st.core_flows[core].clone();
-        if served.is_empty() {
+        let n = self.st.core_flows[core].len();
+        if n == 0 {
             return;
         }
 
@@ -165,18 +165,27 @@ impl<P: IoPolicy> Machine<P> {
         // precedes new slow-path fetches: a blocking recv() returns the
         // data that already landed before it issues (and waits on) another
         // DMA read, otherwise a busy slow path would starve the consumer.
-        let n = served.len();
+        // The service list is indexed in place: nothing below starts or
+        // retires flows, so it cannot change during the scan.
         let start = self.st.core_rr[core] % n;
+        let batch_size = self.st.cfg.cpu.batch_size;
         let mut selected: Option<(FlowId, Vec<ReadyPkt>, FlowClass)> = None;
         let mut sync_stall: Option<Time> = None;
         for k in 0..n {
-            let flow_id = served[(start + k) % n];
-            let batch_size = self.st.cfg.cpu.batch_size;
+            let flow_id = self.st.core_flows[core][(start + k) % n];
             let (batch, gap_stall, class) = {
-                let f =
-                    self.st.flows.get_mut(&flow_id).expect(
-                        "invariant: `flow_id` was produced by a retain over `self.st.flows`",
-                    );
+                let f = self.st.flows.get_mut(&flow_id).expect(
+                    "invariant: the retain above keeps only ids present in `self.st.flows`",
+                );
+                // Idle flow: nothing retired into `ready`, nothing parked
+                // in `slow_queue`. The rest of this iteration would be a
+                // no-op for it — an empty batch, no gap stall, no drain
+                // request from any in-tree policy, and a slow fetch that
+                // returns before touching state — so skipping it leaves
+                // the round-robin cursor and every counter unchanged.
+                if f.ready.is_empty() && f.slow_queue.is_empty() {
+                    continue;
+                }
                 let batch = f.take_deliverable(now, batch_size);
                 let gap_stall = batch.is_empty()
                     && f.ready

@@ -54,12 +54,12 @@ use crate::slab::{DmaId, PayloadSlabs, PktId};
 use ceio_cpu::{Application, CpuCore};
 use ceio_mem::{BufferId, MemoryController};
 use ceio_net::generator::Pacing;
-use ceio_net::{FlowClass, FlowId, FlowSpec, IngressLink, Scenario, ScenarioEvent};
+use ceio_net::{FlowClass, FlowId, FlowMap, FlowSpec, IngressLink, Scenario, ScenarioEvent};
 use ceio_nic::{rss_queue, ArmCore, OnboardMemory, QueueId, RmtEngine, SteerAction};
 use ceio_pcie::DmaEngine;
 use ceio_sim::{Bandwidth, EventQueue, Histogram, Model, Rng, Simulation, Time};
 use serde::Serialize;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Machine events.
 ///
@@ -153,10 +153,11 @@ pub struct HostState {
     pub cfg: HostConfig,
     /// Deterministic RNG (forked per flow).
     pub rng: Rng,
-    /// All flows ever started (inactive ones retained for reporting).
-    pub flows: BTreeMap<FlowId, FlowState>,
-    /// Per-flow applications.
-    pub apps: BTreeMap<FlowId, Box<dyn Application>>,
+    /// All flows ever started (inactive ones retained for reporting),
+    /// indexed by their dense id; iterates in ascending id order.
+    pub flows: FlowMap<FlowState>,
+    /// Per-flow applications, keyed like `flows`.
+    pub apps: FlowMap<Box<dyn Application>>,
     app_factory: AppFactory,
     /// The shared receiver link.
     pub ingress: IngressLink,
@@ -297,16 +298,13 @@ impl HostState {
             .sum()
     }
 
-    /// Ids of flows that are currently active (still emitting).
+    /// Ids of flows that are currently active (still emitting), ascending.
     pub fn active_flow_ids(&self) -> Vec<FlowId> {
-        let mut ids: Vec<FlowId> = self
-            .flows
+        self.flows
             .iter()
             .filter(|(_, f)| f.active)
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort_unstable();
-        ids
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// Slow-queue length of a flow (packets parked in on-NIC memory).
@@ -428,8 +426,8 @@ impl<P: IoPolicy> Machine<P> {
         dma.set_write_channels(num_queues);
         let st = HostState {
             rng: rng.fork(),
-            flows: BTreeMap::new(),
-            apps: BTreeMap::new(),
+            flows: FlowMap::new(),
+            apps: FlowMap::new(),
             app_factory,
             ingress: IngressLink::new(cfg.net.clone()),
             rmt: RmtEngine::new(SteerAction::FastPath {
@@ -457,7 +455,7 @@ impl<P: IoPolicy> Machine<P> {
             dma_pace: None,
             dma_pace_until: Time::ZERO,
             next_buf_id: 0,
-            scenario: scenario.events.clone(),
+            scenario: scenario.events,
             meas: Measurements::new(cfg.sample_window),
             dropped_total: 0,
             ordering_stalls: 0,

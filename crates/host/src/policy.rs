@@ -97,6 +97,14 @@ pub trait IoPolicy {
 
     /// The driver polled this flow's rings (each `recv()`/`async_recv()`
     /// call): decide whether to drain the slow path.
+    ///
+    /// Invoked only for flows that had work when the poll reached them:
+    /// packets retired into the flow's `ready` buffer or parked in its
+    /// `slow_queue` (when the poll delivers a batch, the hook runs after
+    /// that batch left `ready`). A core poll skips idle flows before
+    /// reaching this hook, so an implementation must not rely on being
+    /// called for them (to observe time passing, say); use the controller
+    /// loop for that.
     fn on_driver_poll(&mut self, st: &mut HostState, now: Time, flow: FlowId) -> DrainRequest {
         let _ = (st, now, flow);
         DrainRequest::NONE

@@ -3,8 +3,11 @@
 //! thrashing pathology the whole paper is about.
 
 use ceio_cpu::{AppWork, Application};
-use ceio_host::{run_to_report, AppFactory, HostConfig, Machine, UnmanagedPolicy};
-use ceio_net::{FlowClass, FlowSpec, Packet, Scenario};
+use ceio_host::{
+    run_to_report, AppFactory, DrainRequest, HostConfig, HostState, IoPolicy, Machine,
+    SteerDecision, UnmanagedPolicy,
+};
+use ceio_net::{FlowClass, FlowId, FlowMap, FlowSpec, Packet, Scenario};
 use ceio_sim::{Bandwidth, Duration, Time};
 
 /// A minimal echo-style app: tiny fixed compute, zero-copy.
@@ -304,4 +307,75 @@ fn report_rates_are_consistent_with_each_other() {
     // Everything travelled the fast path under the unmanaged policy.
     assert_eq!(report.slow_path_pkts, 0);
     assert!((report.fast_path_gbps - report.total_gbps()).abs() < 0.01);
+}
+
+/// Counts `on_driver_poll` calls per flow. Flow 1 is steered entirely
+/// onto the slow path, so the hook sees both kinds of pending work: ready
+/// packets and parked ones.
+#[derive(Default)]
+struct PollCounter {
+    calls: FlowMap<u64>,
+}
+
+impl IoPolicy for PollCounter {
+    fn name(&self) -> &'static str {
+        "poll-counter"
+    }
+    fn on_flow_start(&mut self, _: &mut HostState, _: Time, flow: FlowId) {
+        self.calls.insert(flow, 0);
+    }
+    fn on_flow_stop(&mut self, _: &mut HostState, _: Time, _: FlowId) {}
+    fn steer(&mut self, _: &mut HostState, _: Time, pkt: &Packet) -> SteerDecision {
+        if pkt.flow == FlowId(1) {
+            SteerDecision::SlowPath { mark: false }
+        } else {
+            SteerDecision::FastPath { mark: false }
+        }
+    }
+    fn on_batch_consumed(&mut self, _: &mut HostState, _: Time, _: FlowId, _: u32, _: u32, _: u32) {
+    }
+    fn on_driver_poll(&mut self, _: &mut HostState, _: Time, flow: FlowId) -> DrainRequest {
+        if let Some(n) = self.calls.get_mut(&flow) {
+            *n += 1;
+        }
+        DrainRequest {
+            fetch: 32,
+            sync: false,
+        }
+    }
+}
+
+/// The `IoPolicy::on_driver_poll` contract: the hook runs only for flows
+/// with ready or parked packets. Two polling cores share eight flows; six
+/// of them never send, so every poll walks past idle flows.
+#[test]
+fn driver_poll_hook_never_sees_idle_flows() {
+    let mut s = Scenario::new();
+    for i in 0..8 {
+        let demand = if i < 2 {
+            Bandwidth::gbps(5)
+        } else {
+            Bandwidth::bytes_per_sec(0)
+        };
+        s.start_at(
+            Time::ZERO,
+            FlowSpec::new(i, FlowClass::CpuInvolved, 512, 1, demand),
+        );
+    }
+    let cfg = HostConfig {
+        num_cores: Some(2),
+        ..HostConfig::default()
+    };
+    let mut sim = Machine::build(cfg, PollCounter::default(), s.build(), echo_factory());
+    let report = run_to_report(&mut sim, Duration::micros(200), Duration::millis(1));
+    let p = &sim.model.policy;
+    assert!(
+        report.slow_path_pkts > 0,
+        "flow 1 must drain over the slow path"
+    );
+    assert!(p.calls[&FlowId(0)] > 0, "fast-path flow polled");
+    assert!(p.calls[&FlowId(1)] > 0, "slow-path flow polled");
+    for id in 2..8 {
+        assert_eq!(p.calls[&FlowId(id)], 0, "idle flow {id} reached the hook");
+    }
 }

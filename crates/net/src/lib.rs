@@ -6,6 +6,8 @@
 //!   Flows are classified as **CPU-involved** (DDIO → CPU polling, e.g. RPC)
 //!   or **CPU-bypass** (RDMA-style, huge messages, completion-signalled),
 //!   the two I/O flow types of §2.1.
+//! * [`flowmap`] — [`FlowMap`], the dense id-indexed table every per-flow
+//!   state map in the simulator uses (ascending-id iteration).
 //! * [`dctcp`] — a rate-based DCTCP congestion controller (§2.3 uses DCTCP
 //!   as the base network rate control). ECN-fraction EWMA → multiplicative
 //!   decrease; additive increase otherwise; sharp cut on loss.
@@ -21,6 +23,7 @@
 
 pub mod dctcp;
 pub mod flow;
+pub mod flowmap;
 pub mod generator;
 pub mod ingress;
 pub mod packet;
@@ -29,6 +32,7 @@ pub mod scenario;
 
 pub use dctcp::Dctcp;
 pub use flow::{FlowClass, FlowId, FlowSpec};
+pub use flowmap::FlowMap;
 pub use generator::TrafficGen;
 pub use ingress::IngressLink;
 pub use packet::{Packet, PacketId};

@@ -2,9 +2,10 @@
 
 use ceio_net::generator::Pacing;
 use ceio_net::ingress::{IngressLink, IngressOutcome};
-use ceio_net::{Dctcp, FlowClass, FlowSpec, NetParams, TrafficGen};
+use ceio_net::{Dctcp, FlowClass, FlowId, FlowMap, FlowSpec, NetParams, TrafficGen};
 use ceio_sim::{Bandwidth, Duration, Rng, Time};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Feedback events fed to a DCTCP controller.
 #[derive(Debug, Clone, Copy)]
@@ -12,6 +13,26 @@ enum Feedback {
     Ack(bool),
     Loss,
     Tick,
+}
+
+/// One operation on a per-flow table.
+#[derive(Debug, Clone, Copy)]
+enum MapOp {
+    Insert(u32, u64),
+    Remove(u32),
+    Get(u32),
+    GetMut(u32, u64),
+}
+
+/// Table operations over a small id space, so removals hit present ids,
+/// leave holes, and later inserts refill them.
+fn map_op() -> impl Strategy<Value = MapOp> {
+    prop_oneof![
+        4 => (0u32..24, any::<u64>()).prop_map(|(id, v)| MapOp::Insert(id, v)),
+        3 => (0u32..24).prop_map(MapOp::Remove),
+        2 => (0u32..24).prop_map(MapOp::Get),
+        2 => (0u32..24, any::<u64>()).prop_map(|(id, v)| MapOp::GetMut(id, v)),
+    ]
 }
 
 fn feedback() -> impl Strategy<Value = Feedback> {
@@ -140,5 +161,43 @@ proptest! {
         started.sort_unstable();
         started.dedup();
         prop_assert_eq!(started.len(), n, "duplicate flow id started");
+    }
+
+    /// `FlowMap` is observationally a `BTreeMap<FlowId, _>`: every
+    /// operation returns what the ordered map returns, and after any
+    /// sequence both hold the same entries, the same `len()`, and iterate
+    /// in the same ascending id order.
+    #[test]
+    fn flow_map_matches_btreemap_oracle(ops in prop::collection::vec(map_op(), 0..200)) {
+        let mut map: FlowMap<u64> = FlowMap::new();
+        let mut oracle: BTreeMap<FlowId, u64> = BTreeMap::new();
+        for op in ops {
+            match op {
+                MapOp::Insert(id, v) => {
+                    prop_assert_eq!(map.insert(FlowId(id), v), oracle.insert(FlowId(id), v));
+                }
+                MapOp::Remove(id) => {
+                    prop_assert_eq!(map.remove(&FlowId(id)), oracle.remove(&FlowId(id)));
+                }
+                MapOp::Get(id) => {
+                    prop_assert_eq!(map.get(&FlowId(id)), oracle.get(&FlowId(id)));
+                    prop_assert_eq!(
+                        map.contains_key(&FlowId(id)),
+                        oracle.contains_key(&FlowId(id))
+                    );
+                }
+                MapOp::GetMut(id, v) => {
+                    let a = map.get_mut(&FlowId(id)).map(|x| { *x ^= v; *x });
+                    let b = oracle.get_mut(&FlowId(id)).map(|x| { *x ^= v; *x });
+                    prop_assert_eq!(a, b);
+                }
+            }
+            prop_assert_eq!(map.len(), oracle.len());
+        }
+        let got: Vec<(FlowId, u64)> = map.iter().map(|(k, v)| (k, *v)).collect();
+        let want: Vec<(FlowId, u64)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(map.keys().collect::<Vec<_>>(), oracle.keys().copied().collect::<Vec<_>>());
+        prop_assert_eq!(map.is_empty(), oracle.is_empty());
     }
 }

@@ -123,6 +123,12 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// Levels needed so `LEVELS * LEVEL_BITS >= 64`: the wheel spans the whole
 /// `u64` nanosecond timeline with no overflow list.
 const LEVELS: usize = 11;
+/// Largest allocation (in keys) a higher-level bucket keeps after it
+/// cascades. Sparse periodic timers then re-fill their buckets without
+/// allocating, while a bucket that once absorbed a burst returns that
+/// memory instead of holding it for the rest of the run (the 640 buckets
+/// above level 0 would otherwise each keep their peak).
+const KEEP_KEYS: usize = 16;
 
 /// Mask of the low `bits` bits, saturating at the full word.
 #[inline]
@@ -213,12 +219,19 @@ impl Wheel {
             // the re-pushed keys spread over the full child range.
             let slot = self.occupied[level].trailing_zeros() as usize;
             self.occupied[level] &= !(1u64 << slot);
-            let batch = std::mem::take(&mut self.buckets[level * SLOTS + slot]);
+            let mut batch = std::mem::take(&mut self.buckets[level * SLOTS + slot]);
             let lb = LEVEL_BITS * level as u32;
             self.cur = (self.cur & !low_mask(lb + LEVEL_BITS)) | ((slot as u64) << lb);
-            for key in batch {
+            for key in batch.drain(..) {
                 debug_assert!(key.at.0 >= self.cur);
                 self.push(key);
+            }
+            // Re-pushed keys agree with the cursor on this level's bits, so
+            // none lands back in this bucket: a small allocation goes back
+            // to it, and steady-state cascades of sparse timers never
+            // allocate.
+            if batch.capacity() <= KEEP_KEYS {
+                self.buckets[level * SLOTS + slot] = batch;
             }
         }
     }

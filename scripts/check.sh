@@ -150,6 +150,20 @@ grep -q '"min_speedup"' "$smoke_dir/BENCH_engine.json" \
 cp "$smoke_dir/BENCH_engine.json" BENCH_engine.json
 echo "perf smoke passed ($(grep -o '"min_speedup": [0-9.]*' BENCH_engine.json))"
 
+echo "==> bench smoke (benchmark/: transparency tests + every workload at 2 s)"
+# The end-to-end benchmark is its own Cargo workspace (benchmark/Cargo.toml).
+# Its transparency tests pin path equivalence and BENCHMARK.json agreement.
+# The short run gates on the exit status only: every workload's output
+# digest must equal benchmark/expected.json, CEIO workloads must conserve
+# credits, and no repetition may fail. Times on a 2 s budget are noise, so
+# none is ever gated; the final JSON line is archived as bench-smoke.json.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --seconds 2 \
+    > "$smoke_dir/bench-smoke.txt" \
+    || { cat "$smoke_dir/bench-smoke.txt"; echo "bench smoke: a workload failed"; exit 1; }
+tail -n 1 "$smoke_dir/bench-smoke.txt" > bench-smoke.json
+echo "bench smoke passed"
+
 echo "==> ddio smoke (way sweep + set-associative telemetry)"
 # The sweep's shapes (baseline monotonicity, CEIO flatness) are gated by
 # in-module tests above; here we check the operator surface: the
