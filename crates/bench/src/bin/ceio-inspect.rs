@@ -41,28 +41,22 @@
 //! `--fault-plan` arms a deterministic fault-injection schedule (canned
 //! name or `key=value` spec; see `ceio-chaos`) seeded by `--seed`, so a
 //! faulty run's trace and metrics are exactly reproducible. A malformed
-//! spec exits 2, as does requesting a plan from a binary built without
-//! the `chaos` feature.
+//! spec exits 2.
 //!
 //! Both exports are validated with the telemetry layer's own JSON checker
 //! before they are written; an invalid document is a bug and exits 1.
-//! Built without the `trace` cargo feature the binary still emits the
-//! metrics snapshot, but the trace is empty (the recorder hooks compile
-//! away) — CI builds it with `--features trace`.
 
 // CLI entry point: exiting with status 2 on a bad argument (or 1 on an
 // internal error) is the intended operator-facing behavior.
 #![allow(clippy::exit)]
 
-use ceio_bench::runner::{PolicyKind, CHAOS_COMPILED};
+use ceio_bench::runner::PolicyKind;
 use ceio_bench::workloads::{self, AppKind, Transport};
 use ceio_chaos::FaultPlan;
 use ceio_host::Machine;
 use ceio_mem::LlcModelKind;
 use ceio_sim::{Duration, Time};
-use ceio_telemetry::{chrome_trace_json, json, render_html, scope, SloRule};
-#[cfg(feature = "trace")]
-use ceio_telemetry::{Stage, TraceEvent};
+use ceio_telemetry::{chrome_trace_json, json, render_html, scope, SloRule, Stage, TraceEvent};
 
 /// ceio-scope output mode (the optional leading positional argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,16 +123,9 @@ fn parse_queues(value: Option<&String>) -> usize {
 }
 
 /// Resolve `--seed`/`--fault-plan` into an armed plan, exiting 2 on a
-/// malformed spec or on a plan this build cannot apply.
+/// malformed spec.
 fn resolve_fault_plan(spec: Option<&String>, seed: u64) -> Option<FaultPlan> {
     let spec = spec?;
-    if !CHAOS_COMPILED {
-        eprintln!(
-            "--fault-plan requires a binary built with `--features chaos` \
-             (this build would silently ignore the plan)"
-        );
-        std::process::exit(2);
-    }
     match FaultPlan::parse(spec, seed) {
         Ok(p) => Some(p),
         Err(e) => {
@@ -403,7 +390,6 @@ fn must_validate(what: &str, doc: &str) {
     }
 }
 
-#[cfg(feature = "trace")]
 fn print_event_counts(events: &[TraceEvent], dropped: u64) {
     use std::collections::BTreeMap;
     let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -444,18 +430,12 @@ fn main() {
 
     let policy = a.policy.build(&host);
     let mut sim = Machine::build(host, policy, scen, workloads::app_factory(app));
-    #[cfg(feature = "trace")]
     sim.model.arm_trace(a.ring);
-    #[cfg(not(feature = "trace"))]
-    eprintln!("note: built without the `trace` feature; the event trace will be empty");
-    #[cfg(feature = "chaos")]
     if let Some(plan) = a.plan.as_ref() {
         // The free function also arms the queue-health watchdog when the
         // plan carries a queue-level fault site.
         ceio_host::arm_chaos(&mut sim, plan);
     }
-    #[cfg(not(feature = "chaos"))]
-    debug_assert!(a.plan.is_none(), "resolve_fault_plan exits without chaos");
     sim.model.set_run_label(&a.plan_label);
 
     // Arm the flight recorder when a scope output mode or scope flag asks
@@ -539,10 +519,7 @@ fn main() {
     }
 
     // Chrome trace export.
-    #[cfg(feature = "trace")]
     let (events, dropped) = sim.model.trace_events();
-    #[cfg(not(feature = "trace"))]
-    let (events, dropped) = (Vec::new(), 0u64);
     let trace = chrome_trace_json(&events, dropped);
     must_validate("chrome trace", &trace);
     write_file(&a.trace_out, &trace);
@@ -568,23 +545,20 @@ fn main() {
         report.dropped,
         report.slow_path_pkts,
     );
-    #[cfg(feature = "trace")]
-    {
-        print_event_counts(&events, dropped);
-        if let Some(bd) = sim.model.breakdown() {
-            println!("path breakdown (ns per stage):");
-            for stage in Stage::ALL {
-                let h = bd.total.stage(stage);
-                if h.count() > 0 {
-                    println!("  all flows  {:<14} {h}", stage.label());
-                }
+    print_event_counts(&events, dropped);
+    if let Some(bd) = sim.model.breakdown() {
+        println!("path breakdown (ns per stage):");
+        for stage in Stage::ALL {
+            let h = bd.total.stage(stage);
+            if h.count() > 0 {
+                println!("  all flows  {:<14} {h}", stage.label());
             }
-            for (flow, pb) in &bd.per_flow {
-                for stage in Stage::ALL {
-                    let h = pb.stage(stage);
-                    if h.count() > 0 {
-                        println!("  flow {flow:<5} {:<14} {h}", stage.label());
-                    }
+        }
+        for (flow, pb) in &bd.per_flow {
+            for stage in Stage::ALL {
+                let h = pb.stage(stage);
+                if h.count() > 0 {
+                    println!("  flow {flow:<5} {:<14} {h}", stage.label());
                 }
             }
         }

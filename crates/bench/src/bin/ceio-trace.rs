@@ -17,9 +17,7 @@
 //! `dma-flaky`, `nic-pressure`) or a comma-separated `key=value` spec
 //! (`dma-write-fault=0.05,consumer-pause=10us`); `--seed` fixes the
 //! injection RNG so two invocations with the same flags emit
-//! byte-identical CSV. A malformed spec exits 2, as does requesting a
-//! plan from a binary built without the `chaos` feature (silently
-//! ignoring a requested fault schedule would misreport the experiment).
+//! byte-identical CSV. A malformed spec exits 2.
 //!
 //! `--llc-model` selects the LLC model backing the memory controller
 //! (`pool` is the seed default; `setassoc` is the way-partitioned
@@ -42,7 +40,7 @@
 // code, where aborting the process is never acceptable).
 #![allow(clippy::exit)]
 
-use ceio_bench::runner::{run_one_scoped, series_csv, PolicyKind, ScopeOptions, CHAOS_COMPILED};
+use ceio_bench::runner::{run_one_scoped, series_csv, PolicyKind, ScopeOptions};
 use ceio_bench::workloads::{self, AppKind, Transport};
 use ceio_chaos::FaultPlan;
 use ceio_host::DEFAULT_SCOPE_CAP;
@@ -164,16 +162,9 @@ fn parse_scope_duration(flag: &str, value: Option<&String>) -> Duration {
 }
 
 /// Resolve `--seed`/`--fault-plan` into an armed plan, exiting 2 on a
-/// malformed spec or on a plan this build cannot apply.
+/// malformed spec.
 fn resolve_fault_plan(spec: Option<&String>, seed: u64) -> Option<FaultPlan> {
     let spec = spec?;
-    if !CHAOS_COMPILED {
-        eprintln!(
-            "--fault-plan requires a binary built with `--features chaos` \
-             (this build would silently ignore the plan)"
-        );
-        std::process::exit(2);
-    }
     match FaultPlan::parse(spec, seed) {
         Ok(p) => Some(p),
         Err(e) => {
@@ -348,10 +339,10 @@ fn main() {
         }
     };
     let scoped = a.scope_interval.is_some() || !a.slos.is_empty();
-    // When SLO rules are armed, also arm the event trace (trace builds
-    // only) so alert fires are minable from the trace as `slo-alert`
-    // events — and so we can tell when the drop-oldest ring evicted any.
-    let mine_alerts = cfg!(feature = "trace") && !a.slos.is_empty();
+    // When SLO rules are armed, also arm the event trace so alert fires
+    // are minable from the trace as `slo-alert` events — and so we can
+    // tell when the drop-oldest ring evicted any.
+    let mine_alerts = !a.slos.is_empty();
     let scope = scoped.then(|| ScopeOptions {
         interval: a.scope_interval.unwrap_or(Duration::micros(50)),
         cap: DEFAULT_SCOPE_CAP,
@@ -393,7 +384,6 @@ fn main() {
         // Mine alert fires back out of the event trace. The ring drops
         // oldest-first when full, so a long busy run can silently lose
         // early `slo-alert` events — be loud about that.
-        #[cfg(feature = "trace")]
         if !a.slos.is_empty() {
             let (events, evicted) = sim.model.trace_events();
             let fires = events

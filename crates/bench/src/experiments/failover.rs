@@ -13,7 +13,7 @@
 //! counters proving the flap was survived rather than merely suffered.
 
 use crate::experiments::queues::sharded_host;
-use crate::runner::{run_one_keep_faulted, AnyPolicy, PolicyKind, CHAOS_COMPILED};
+use crate::runner::{run_one_keep_faulted, AnyPolicy, PolicyKind};
 use crate::table::{self, Table};
 use crate::workloads::{self, AppKind};
 use ceio_chaos::FaultPlan;
@@ -62,14 +62,9 @@ pub fn run(quick: bool) -> String {
             "healthy at end",
         ],
     );
-    let plans: Vec<(&str, Option<FaultPlan>)> = if CHAOS_COMPILED {
-        let plan = FaultPlan::parse("queue-flap", SEED)
-            .expect("invariant: the canned queue-flap plan parses");
-        vec![("fault-free", None), ("queue-flap", Some(plan))]
-    } else {
-        vec![("fault-free", None)]
-    };
-    for (label, plan) in &plans {
+    let plan =
+        FaultPlan::parse("queue-flap", SEED).expect("invariant: the canned queue-flap plan parses");
+    for (label, plan) in [("fault-free", None), ("queue-flap", Some(plan))] {
         let (r, sim) = flap_run(quick, plan.as_ref());
         let st = &sim.model.st;
         let healthy = st
@@ -78,7 +73,7 @@ pub fn run(quick: bool) -> String {
             .filter(|q| q.state() == QueueState::Healthy)
             .count();
         t.row(vec![
-            (*label).to_string(),
+            label.to_string(),
             table::f(r.fast_path_gbps, 2),
             table::f(r.slow_path_gbps, 2),
             r.dropped.to_string(),
@@ -89,13 +84,7 @@ pub fn run(quick: bool) -> String {
             format!("{healthy}/{QUEUES}"),
         ]);
     }
-    let mut out = t.render();
-    if !CHAOS_COMPILED {
-        out.push_str(
-            "\n(queue-flap row skipped: build with --features chaos to arm the fault plan)\n",
-        );
-    }
-    out
+    t.render()
 }
 
 #[cfg(test)]
@@ -119,7 +108,6 @@ mod tests {
     /// kills at least one queue, the watchdog fails it over and brings it
     /// back, and credit conservation holds at the end of the run.
     #[test]
-    #[cfg(feature = "chaos")]
     fn queue_flap_fails_over_recovers_and_conserves() {
         use ceio_sim::Time;
 

@@ -4,8 +4,8 @@
 //! Each experiment exposes `run(quick) -> String`: it executes the
 //! simulations (in parallel across configurations, each simulation
 //! single-threaded and deterministic) and returns the formatted rows/series
-//! the paper reports. The `ceio-experiments` binary and the `cargo bench`
-//! targets are thin wrappers over these functions.
+//! the paper reports. The `ceio-experiments` binary is a thin wrapper over
+//! these functions.
 //!
 //! `quick = true` shrinks sweeps and measurement spans for CI-speed runs;
 //! `quick = false` is what EXPERIMENTS.md records.

@@ -98,8 +98,8 @@ pub enum AnyPolicy {
     HostCc(HostCcPolicy),
     /// ShRing.
     ShRing(ShRingPolicy),
-    /// CEIO (any configuration). Boxed: with tracing compiled in the
-    /// policy is much larger than the other variants, and it is built
+    /// CEIO (any configuration). Boxed: with its trace and chaos state
+    /// the policy is much larger than the other variants, and it is built
     /// once per run, so the indirection is free where it matters.
     Ceio(Box<CeioPolicy>),
 }
@@ -169,23 +169,16 @@ impl IoPolicy for AnyPolicy {
     fn scope_sample(&self, rec: &mut ceio_telemetry::FlightRecorder, now: Time) {
         delegate!(self, p => p.scope_sample(rec, now))
     }
-    #[cfg(feature = "trace")]
     fn arm_trace(&mut self, cap: usize) {
         delegate!(self, p => p.arm_trace(cap))
     }
-    #[cfg(feature = "chaos")]
     fn arm_chaos(&mut self, st: &mut HostState, plan: &ceio_chaos::FaultPlan) {
         delegate!(self, p => p.arm_chaos(st, plan))
     }
-    #[cfg(feature = "trace")]
     fn take_trace(&mut self) -> (Vec<ceio_telemetry::TraceEvent>, u64) {
         delegate!(self, p => p.take_trace())
     }
 }
-
-/// Whether fault injection is compiled into this build. CLIs use this to
-/// refuse a `--fault-plan` they could only silently ignore.
-pub const CHAOS_COMPILED: bool = cfg!(feature = "chaos");
 
 /// One experiment run: build the machine, warm up, measure, report.
 pub fn run_one(
@@ -200,8 +193,7 @@ pub fn run_one(
 }
 
 /// [`run_one`] with an optional fault plan armed across every machine
-/// layer before the run starts. Without the `chaos` feature the plan
-/// cannot be applied and is ignored (callers gate on [`CHAOS_COMPILED`]).
+/// layer before the run starts.
 pub fn run_one_faulted(
     host: HostConfig,
     kind: PolicyKind,
@@ -250,8 +242,7 @@ pub struct ScopeOptions {
     /// SLO rules to arm, evaluated each sampling epoch.
     pub slos: Vec<ceio_telemetry::SloRule>,
     /// Also arm the event trace ring at this capacity, so alert fires
-    /// land in the trace as `slo-alert` events. Ignored (with the plan
-    /// caller gating on the `trace` feature) in trace-less builds.
+    /// land in the trace as `slo-alert` events.
     pub trace_cap: Option<usize>,
 }
 
@@ -272,16 +263,12 @@ pub fn run_one_scoped(
 ) -> (RunReport, ceio_sim::Simulation<Machine<AnyPolicy>>) {
     let policy = kind.build(&host);
     let mut sim = Machine::build(host, policy, scenario, factory);
-    #[cfg(feature = "chaos")]
     if let Some(p) = plan {
         // The free function also schedules the queue-health watchdog when
         // the plan carries a queue-level fault site.
         ceio_host::arm_chaos(&mut sim, p);
     }
-    #[cfg(not(feature = "chaos"))]
-    let _ = plan;
     if let Some(s) = scope {
-        #[cfg(feature = "trace")]
         if let Some(cap) = s.trace_cap {
             sim.model.arm_trace(cap);
         }

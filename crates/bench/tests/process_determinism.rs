@@ -62,7 +62,6 @@ fn same_flags_same_bytes_across_processes() {
 /// processes, and must actually differ from the fault-free run (so the
 /// identity check cannot pass vacuously on an inert plan).
 #[test]
-#[cfg(feature = "chaos")]
 fn queue_flap_same_bytes_across_processes() {
     let flap = [
         "--policy",

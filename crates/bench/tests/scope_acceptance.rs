@@ -6,8 +6,6 @@
 //! `scripts/check.sh` scope smoke (which drives the same path through the
 //! `ceio-inspect` binary).
 
-#![cfg(feature = "chaos")]
-
 use ceio_bench::runner::{run_one_scoped, PolicyKind, ScopeOptions};
 use ceio_bench::workloads::{self, AppKind, Transport};
 use ceio_chaos::FaultPlan;

@@ -12,10 +12,10 @@
 //!
 //! Nothing in this crate touches the data path by itself. The consuming
 //! crates (`ceio-pcie`, `ceio-nic`, `ceio-host`, `ceio-core`) hold an
-//! `Option<FaultInjector>` behind their `chaos` cargo feature, so a build
-//! without the feature carries no injector fields and no branches, and an
-//! enabled-but-unarmed run costs one pointer-width test per hook — the
-//! same zero-overhead contract as the `trace` and `audit` layers.
+//! boxed `Option<FaultInjector>` that is `None` until a plan is armed at
+//! runtime, so an unarmed run carries one null pointer per component and
+//! costs one pointer-width test per hook — the same contract as the
+//! trace recorders.
 
 use ceio_sim::{Duration, Rng};
 use std::fmt;

@@ -26,7 +26,6 @@
 
 use ceio_net::FlowId;
 use ceio_sim::{Duration, Time};
-#[cfg(feature = "trace")]
 use ceio_telemetry::{TraceEvent, TraceKind, TraceRing};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -119,12 +118,10 @@ pub struct CreditManager {
     /// Per-grant leases (`None` until armed; one pointer test per hook).
     leases: Option<Box<LeaseTable>>,
     stats: CreditStats,
-    #[cfg(feature = "trace")]
     tracer: Option<TraceRing>,
     /// Simulated clock for trace timestamps: the manager is clockless, so
     /// the policy stamps it at each hook entry via
     /// [`CreditManager::set_trace_now`].
-    #[cfg(feature = "trace")]
     trace_now: Time,
 }
 
@@ -139,29 +136,24 @@ impl CreditManager {
             outstanding: 0,
             leases: None,
             stats: CreditStats::default(),
-            #[cfg(feature = "trace")]
             tracer: None,
-            #[cfg(feature = "trace")]
             trace_now: Time::ZERO,
         }
     }
 
     /// Arm event recording into a fresh drop-oldest ring of `cap` events.
-    #[cfg(feature = "trace")]
     pub fn arm_trace(&mut self, cap: usize) {
         self.tracer = Some(TraceRing::new(cap));
     }
 
     /// Stamp the simulated clock used for subsequent trace events (the
     /// manager itself is clockless; callers set this at hook entry).
-    #[cfg(feature = "trace")]
     #[inline]
     pub fn set_trace_now(&mut self, now: Time) {
         self.trace_now = now;
     }
 
     /// Drain recorded events (and the dropped count), if armed.
-    #[cfg(feature = "trace")]
     pub fn trace_take(&mut self) -> (Vec<TraceEvent>, u64) {
         match self.tracer.as_mut() {
             Some(r) => {
@@ -174,7 +166,6 @@ impl CreditManager {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[inline]
     fn trace(&mut self, flow: FlowId, kind: TraceKind, value: u64) {
         if let Some(r) = self.tracer.as_mut() {
@@ -331,7 +322,6 @@ impl CreditManager {
         };
         let now = l.now;
         let mut expired_total = 0u64;
-        #[cfg(feature = "trace")]
         let mut per_flow: Vec<(FlowId, u64)> = Vec::new();
         l.expiries.retain(|_f, q| {
             let mut expired = 0u64;
@@ -344,7 +334,6 @@ impl CreditManager {
                 }
             }
             if expired > 0 {
-                #[cfg(feature = "trace")]
                 per_flow.push((*_f, expired));
                 expired_total += expired;
             }
@@ -359,12 +348,9 @@ impl CreditManager {
             self.outstanding -= expired_total.min(self.outstanding);
             self.free_pool += expired_total;
             self.stats.lease_reclaims += expired_total;
-            #[cfg(feature = "trace")]
-            {
-                per_flow.sort_unstable_by_key(|&(f, _)| f);
-                for (f, n) in per_flow {
-                    self.trace(f, TraceKind::CreditLeaseReclaim, n);
-                }
+            per_flow.sort_unstable_by_key(|&(f, _)| f);
+            for (f, n) in per_flow {
+                self.trace(f, TraceKind::CreditLeaseReclaim, n);
             }
         }
         debug_assert!(self.conserved(), "expire_leases broke Eq. 1 conservation");
@@ -499,7 +485,6 @@ impl CreditManager {
                 false
             }
         };
-        #[cfg(feature = "trace")]
         self.trace(
             f,
             if admitted {
@@ -560,7 +545,6 @@ impl CreditManager {
                 self.insufficient.remove(&f);
             }
             // Deliver the payments to creditors (or pool if gone).
-            #[cfg(feature = "trace")]
             let repaid: u64 = payments.iter().map(|&(_, p)| p).sum();
             for (j, pay) in payments {
                 self.stats.debts_repaid += pay;
@@ -569,7 +553,6 @@ impl CreditManager {
                     None => self.free_pool += pay,
                 }
             }
-            #[cfg(feature = "trace")]
             if repaid > 0 {
                 self.trace(f, TraceKind::CreditOwed, repaid);
             }
@@ -602,7 +585,6 @@ impl CreditManager {
         self.free_pool += taken;
         if taken > 0 {
             self.stats.reclaims += 1;
-            #[cfg(feature = "trace")]
             self.trace(f, TraceKind::CreditReclaim, taken);
         }
         debug_assert!(self.conserved(), "reclaim broke Eq. 1 conservation");
@@ -619,7 +601,6 @@ impl CreditManager {
         let granted = amount.min(self.free_pool);
         fc.credits += granted;
         self.free_pool -= granted;
-        #[cfg(feature = "trace")]
         if granted > 0 {
             self.trace(f, TraceKind::CreditPoolGrant, granted);
         }
@@ -682,19 +663,19 @@ impl CreditManager {
     /// Deliberately leak one credit from the free pool **without**
     /// adjusting any other account — a conservation (Eq. 1) violation.
     ///
-    /// Only compiled in test builds or under the `chaos` feature; the
+    /// Only compiled in test builds or under the `audit` feature; the
     /// audit test suite uses it to prove the invariant layer catches real
     /// bugs (a check that can never fire verifies nothing). Release
-    /// builds without `chaos` cannot leak or mint credits.
-    #[cfg(any(test, feature = "chaos"))]
+    /// builds without `audit` cannot leak or mint credits.
+    #[cfg(any(test, feature = "audit"))]
     pub fn leak_credit_for_tests(&mut self) {
         self.free_pool = self.free_pool.saturating_sub(1);
     }
 
     /// Deliberately mint one credit for flow `f` out of thin air (an
     /// overdraft-enabling mutation). Only compiled in test builds or
-    /// under the `chaos` feature.
-    #[cfg(any(test, feature = "chaos"))]
+    /// under the `audit` feature.
+    #[cfg(any(test, feature = "audit"))]
     pub fn mint_credit_for_tests(&mut self, f: FlowId) {
         if let Some(fc) = self.flows.get_mut(&f) {
             fc.credits += 1;

@@ -25,15 +25,12 @@
 
 use crate::config::CeioConfig;
 use crate::sharded::ShardedCredits;
-#[cfg(feature = "chaos")]
 use ceio_chaos::{FaultInjector, FaultSite};
 use ceio_host::{DrainRequest, HostState, IoPolicy, SteerDecision};
 use ceio_net::{FlowId, FlowMap, Packet};
 use ceio_nic::{QueueId, SteerAction};
 use ceio_sim::Time;
-use ceio_telemetry::SnapshotBuilder;
-#[cfg(feature = "trace")]
-use ceio_telemetry::{merge_events, TraceEvent, TraceKind, TraceRing};
+use ceio_telemetry::{merge_events, SnapshotBuilder, TraceEvent, TraceKind, TraceRing};
 
 /// Per-flow controller bookkeeping.
 #[derive(Debug, Clone)]
@@ -103,7 +100,6 @@ enum Mode {
 }
 
 /// A lazy release parked in flight by an injected delay fault.
-#[cfg(feature = "chaos")]
 #[derive(Debug, Clone)]
 struct DelayedRelease {
     at: Time,
@@ -114,7 +110,6 @@ struct DelayedRelease {
 
 /// Policy-side chaos state: the injector stream plus releases currently
 /// delayed on the (simulated) NIC-host control path.
-#[cfg(feature = "chaos")]
 #[derive(Debug)]
 struct PolicyChaos {
     injector: FaultInjector,
@@ -140,11 +135,9 @@ pub struct CeioPolicy {
     mode: Mode,
     calm_polls: u32,
     rejections_at_last_poll: u64,
-    #[cfg(feature = "chaos")]
     chaos: Option<Box<PolicyChaos>>,
     /// Controller-level trace recorder (rule rewrites, phase
     /// transitions, lazy releases); `None` until armed.
-    #[cfg(feature = "trace")]
     tracer: Option<TraceRing>,
 }
 
@@ -167,9 +160,7 @@ impl CeioPolicy {
             mode: Mode::Normal,
             calm_polls: 0,
             rejections_at_last_poll: 0,
-            #[cfg(feature = "chaos")]
             chaos: None,
-            #[cfg(feature = "trace")]
             tracer: None,
         }
     }
@@ -182,7 +173,6 @@ impl CeioPolicy {
 
     /// Per-site injection counters of the policy's chaos stream (`None`
     /// until [`IoPolicy::arm_chaos`] arms it).
-    #[cfg(feature = "chaos")]
     #[must_use]
     pub fn chaos_stats(&self) -> Option<&ceio_chaos::ChaosStats> {
         self.chaos.as_ref().map(|ch| ch.injector.stats())
@@ -206,12 +196,10 @@ impl CeioPolicy {
         let prev = st.rmt.action(&flow);
         if prev != Some(want) && st.rmt.set_action(&flow, want) {
             st.nic_arm.execute(now, st.cfg.nic.arm_table_update);
-            #[cfg(feature = "chaos")]
             if let Some(ch) = self.chaos.as_mut() {
                 if ch.injector.fire(FaultSite::RmtInstallDelay) {
                     let extra = ch.injector.plan().rmt_delay;
                     st.nic_arm.execute(now, extra);
-                    #[cfg(feature = "trace")]
                     if let Some(r) = self.tracer.as_mut() {
                         r.push(TraceEvent {
                             at: now,
@@ -223,7 +211,6 @@ impl CeioPolicy {
                 }
             }
             self.stats.rule_rewrites += 1;
-            #[cfg(feature = "trace")]
             self.trace_rewrite(now, flow, prev, want);
         }
     }
@@ -236,7 +223,6 @@ impl CeioPolicy {
         self.mode = Mode::Degraded;
         self.calm_polls = 0;
         self.stats.degraded_entries += 1;
-        #[cfg(feature = "trace")]
         if let Some(r) = self.tracer.as_mut() {
             r.push(TraceEvent {
                 at: now,
@@ -245,8 +231,6 @@ impl CeioPolicy {
                 value: 0,
             });
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = now;
     }
 
     /// Leave degraded mode (idempotent).
@@ -257,7 +241,6 @@ impl CeioPolicy {
         self.mode = Mode::Normal;
         self.calm_polls = 0;
         self.stats.degraded_exits += 1;
-        #[cfg(feature = "trace")]
         if let Some(r) = self.tracer.as_mut() {
             r.push(TraceEvent {
                 at: now,
@@ -266,8 +249,6 @@ impl CeioPolicy {
                 value: 0,
             });
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = now;
     }
 
     /// Degraded-mode entry check: the elastic store is (nearly) full, or it
@@ -293,10 +274,8 @@ impl CeioPolicy {
     /// the leases may already have been reclaimed, in which case the stale
     /// release is dropped rather than double-credited).
     fn deliver_release(&mut self, now: Time, flow: FlowId, credits: u64, to_pool: bool) {
-        #[cfg(feature = "chaos")]
         if let Some(ch) = self.chaos.as_mut() {
             if ch.injector.fire(FaultSite::CreditReleaseLoss) {
-                #[cfg(feature = "trace")]
                 if let Some(r) = self.tracer.as_mut() {
                     r.push(TraceEvent {
                         at: now,
@@ -315,7 +294,6 @@ impl CeioPolicy {
                     credits,
                     to_pool,
                 });
-                #[cfg(feature = "trace")]
                 if let Some(r) = self.tracer.as_mut() {
                     r.push(TraceEvent {
                         at: now,
@@ -327,8 +305,6 @@ impl CeioPolicy {
                 return;
             }
         }
-        #[cfg(not(feature = "chaos"))]
-        let _ = now;
         if to_pool {
             self.credits.release_to_pool(flow, credits);
         } else {
@@ -337,7 +313,6 @@ impl CeioPolicy {
     }
 
     /// Re-deliver delayed releases whose injected delay has elapsed.
-    #[cfg(feature = "chaos")]
     fn deliver_matured_releases(&mut self, now: Time) {
         let Some(ch) = self.chaos.as_mut() else {
             return;
@@ -377,7 +352,6 @@ impl CeioPolicy {
                 if queue != desired {
                     self.sync_rule(st, now, flow, SteerAction::FastPath { queue: desired });
                     st.failover.flows_resteered += 1;
-                    #[cfg(feature = "trace")]
                     if let Some(r) = self.tracer.as_mut() {
                         r.push(TraceEvent {
                             at: now,
@@ -393,7 +367,6 @@ impl CeioPolicy {
 
     /// Record a rule rewrite — and, because the RMT rule *is* the phase
     /// under phase exclusivity, the matching slow-phase span edge.
-    #[cfg(feature = "trace")]
     fn trace_rewrite(
         &mut self,
         now: Time,
@@ -459,7 +432,6 @@ impl IoPolicy for CeioPolicy {
     }
 
     fn on_flow_stop(&mut self, st: &mut HostState, now: Time, flow: FlowId) {
-        #[cfg(feature = "trace")]
         self.credits.set_trace_now(now);
         st.rmt.remove(&flow);
         st.nic_arm.execute(now, st.cfg.nic.arm_table_update);
@@ -480,7 +452,6 @@ impl IoPolicy for CeioPolicy {
     }
 
     fn steer(&mut self, st: &mut HostState, now: Time, pkt: &Packet) -> SteerDecision {
-        #[cfg(feature = "trace")]
         self.credits.set_trace_now(now);
         self.credits.set_now(now);
         let flow = pkt.flow;
@@ -560,7 +531,6 @@ impl IoPolicy for CeioPolicy {
     }
 
     fn on_fast_drop(&mut self, _st: &mut HostState, _now: Time, flow: FlowId) {
-        #[cfg(feature = "trace")]
         self.credits.set_trace_now(_now);
         // The dropped packet's credit must not leak.
         self.credits.release(flow, 1);
@@ -576,7 +546,6 @@ impl IoPolicy for CeioPolicy {
         msgs: u32,
     ) {
         let _ = slow_pkts;
-        #[cfg(feature = "trace")]
         self.credits.set_trace_now(now);
         // Lazy release (§4.1): credits return only when the driver sees a
         // completion — and for RDMA-style flows that is the
@@ -607,7 +576,6 @@ impl IoPolicy for CeioPolicy {
                     .unwrap_or(false);
             self.deliver_release(now, flow, pending, divert);
             st.nic_arm.execute(now, st.cfg.nic.arm_credit_op);
-            #[cfg(feature = "trace")]
             if let Some(r) = self.tracer.as_mut() {
                 r.push(TraceEvent {
                     at: now,
@@ -659,13 +627,11 @@ impl IoPolicy for CeioPolicy {
     }
 
     fn on_controller_poll(&mut self, st: &mut HostState, now: Time) {
-        #[cfg(feature = "trace")]
         self.credits.set_trace_now(now);
         self.credits.set_now(now);
         // Recovery bookkeeping before the control loop proper: releases
         // whose injected delay elapsed arrive now, then the lease watchdog
         // reclaims any grant whose release never arrived at all.
-        #[cfg(feature = "chaos")]
         self.deliver_matured_releases(now);
         // Reclaim count is already folded into `CreditStats::lease_reclaims`.
         let _ = self.credits.expire_leases();
@@ -841,7 +807,6 @@ impl IoPolicy for CeioPolicy {
     /// RMT rule onto its takeover queue. Credits already outstanding on
     /// in-flight packets return through the normal lazy-release path.
     fn on_queue_failed(&mut self, st: &mut HostState, now: Time, queue: QueueId) {
-        #[cfg(feature = "trace")]
         self.credits.set_trace_now(now);
         let moved = self.credits.quarantine_partition(queue.index());
         self.stats.quarantined_credits += moved;
@@ -855,7 +820,6 @@ impl IoPolicy for CeioPolicy {
     /// Queue recovery: refill the partition back toward its base share
     /// from the global pool and steer its flows home.
     fn on_queue_recovered(&mut self, st: &mut HostState, now: Time, queue: QueueId) {
-        #[cfg(feature = "trace")]
         self.credits.set_trace_now(now);
         let returned = self.credits.restore_partition(queue.index());
         self.stats.restored_credits += returned;
@@ -868,7 +832,6 @@ impl IoPolicy for CeioPolicy {
 
     /// Arm the policy's chaos stream and — when the plan carries a lease
     /// TTL — the credit-lease watchdog that recovers lost releases.
-    #[cfg(feature = "chaos")]
     fn arm_chaos(&mut self, st: &mut HostState, plan: &ceio_chaos::FaultPlan) {
         let _ = st;
         if let Some(ttl) = plan.lease_ttl {
@@ -1047,7 +1010,6 @@ impl IoPolicy for CeioPolicy {
                 0.0
             },
         );
-        #[cfg(feature = "chaos")]
         if let Some(ch) = self.chaos.as_ref() {
             out.counter(
                 "ceio_chaos_policy_injected_total",
@@ -1098,13 +1060,11 @@ impl IoPolicy for CeioPolicy {
         }
     }
 
-    #[cfg(feature = "trace")]
     fn arm_trace(&mut self, cap: usize) {
         self.tracer = Some(TraceRing::new(cap));
         self.credits.arm_trace(cap);
     }
 
-    #[cfg(feature = "trace")]
     fn take_trace(&mut self) -> (Vec<TraceEvent>, u64) {
         let mut parts: Vec<Vec<TraceEvent>> = Vec::new();
         let mut dropped = 0u64;

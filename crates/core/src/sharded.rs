@@ -31,7 +31,6 @@ use crate::credit::{CreditManager, CreditStats};
 use ceio_net::FlowId;
 use ceio_nic::rss_queue;
 use ceio_sim::{Duration, Time};
-#[cfg(feature = "trace")]
 use ceio_telemetry::{merge_events, TraceEvent};
 
 /// The hierarchical (global pool + per-queue partitions) credit ledger.
@@ -218,7 +217,6 @@ impl ShardedCredits {
     }
 
     /// Arm event recording on every partition.
-    #[cfg(feature = "trace")]
     pub fn arm_trace(&mut self, cap: usize) {
         for p in self.parts.iter_mut() {
             p.arm_trace(cap);
@@ -226,7 +224,6 @@ impl ShardedCredits {
     }
 
     /// Stamp the trace clock on every partition.
-    #[cfg(feature = "trace")]
     #[inline]
     pub fn set_trace_now(&mut self, now: Time) {
         for p in self.parts.iter_mut() {
@@ -235,7 +232,6 @@ impl ShardedCredits {
     }
 
     /// Drain recorded events from every partition, merged in time order.
-    #[cfg(feature = "trace")]
     pub fn trace_take(&mut self) -> (Vec<TraceEvent>, u64) {
         let mut parts_evs: Vec<Vec<TraceEvent>> = Vec::new();
         let mut dropped = 0u64;
@@ -469,10 +465,10 @@ impl ShardedCredits {
     /// Deliberately leak one credit from partition `q`'s free pool without
     /// a balancing entry — a per-partition Eq. 1 violation (see
     /// [`CreditManager::leak_credit_for_tests`]). Only compiled in test
-    /// builds or under the `chaos` feature; the bounded model checker in
+    /// builds or under the `audit` feature; the bounded model checker in
     /// `crates/audit` uses it to prove the hierarchical conservation check
     /// catches real bugs.
-    #[cfg(any(test, feature = "chaos"))]
+    #[cfg(any(test, feature = "audit"))]
     pub fn leak_partition_credit_for_tests(&mut self, q: usize) {
         self.parts[q].leak_credit_for_tests();
     }
@@ -480,8 +476,8 @@ impl ShardedCredits {
     /// Deliberately mint one credit into the global pool out of thin air —
     /// a hierarchy-level conservation violation (`Σ total_q + global_free`
     /// exceeds `C_total`). Only compiled in test builds or under the
-    /// `chaos` feature.
-    #[cfg(any(test, feature = "chaos"))]
+    /// `audit` feature.
+    #[cfg(any(test, feature = "audit"))]
     pub fn mint_global_credit_for_tests(&mut self) {
         self.global_free += 1;
     }

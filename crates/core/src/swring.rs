@@ -21,9 +21,7 @@
 //! is enforced by the machine's per-flow ordered delivery buffer, where
 //! fetch completions are real simulated DMA events.
 
-#[cfg(feature = "trace")]
 use ceio_sim::Time;
-#[cfg(feature = "trace")]
 use ceio_telemetry::{TraceEvent, TraceKind, TraceRing};
 use std::collections::VecDeque;
 
@@ -88,11 +86,9 @@ pub struct SwRing<T> {
     delivered_seq: u64,
     /// Total entries that travelled the slow path (statistics).
     slow_total: u64,
-    #[cfg(feature = "trace")]
     tracer: Option<TraceRing>,
     /// Trace clock: the ring is clockless, stamped by callers via
     /// [`SwRing::set_trace_now`].
-    #[cfg(feature = "trace")]
     trace_now: Time,
 }
 
@@ -109,28 +105,23 @@ impl<T> SwRing<T> {
             next_seq: 0,
             delivered_seq: 0,
             slow_total: 0,
-            #[cfg(feature = "trace")]
             tracer: None,
-            #[cfg(feature = "trace")]
             trace_now: Time::ZERO,
         }
     }
 
     /// Arm event recording into a fresh drop-oldest ring of `cap` events.
-    #[cfg(feature = "trace")]
     pub fn arm_trace(&mut self, cap: usize) {
         self.tracer = Some(TraceRing::new(cap));
     }
 
     /// Stamp the simulated clock used for subsequent trace events.
-    #[cfg(feature = "trace")]
     #[inline]
     pub fn set_trace_now(&mut self, now: Time) {
         self.trace_now = now;
     }
 
     /// Drain recorded events (and the dropped count), if armed.
-    #[cfg(feature = "trace")]
     pub fn trace_take(&mut self) -> (Vec<TraceEvent>, u64) {
         match self.tracer.as_mut() {
             Some(r) => {
@@ -143,7 +134,6 @@ impl<T> SwRing<T> {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[inline]
     fn trace(&mut self, kind: TraceKind, value: u64) {
         if let Some(r) = self.tracer.as_mut() {
@@ -183,7 +173,6 @@ impl<T> SwRing<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.slow_total += 1;
-        #[cfg(feature = "trace")]
         self.trace(TraceKind::SlowPark, 1);
         self.entries.push_back(Entry {
             item,
@@ -198,7 +187,6 @@ impl<T> SwRing<T> {
     /// head (up to the fetch batch), without waiting for them.
     pub fn async_recv(&mut self, max: usize) -> RecvOutcome<T> {
         let mut delivered = Vec::new();
-        #[cfg(feature = "trace")]
         let (mut fast_delivered, mut slow_delivered) = (0u64, 0u64);
         while delivered.len() < max {
             match self.entries.front() {
@@ -214,7 +202,6 @@ impl<T> SwRing<T> {
                         debug_assert!(self.fast_occupancy > 0);
                         self.fast_occupancy = self.fast_occupancy.saturating_sub(1);
                     }
-                    #[cfg(feature = "trace")]
                     if e.via_slow {
                         slow_delivered += 1;
                     } else {
@@ -242,17 +229,14 @@ impl<T> SwRing<T> {
                 }
             }
         }
-        #[cfg(feature = "trace")]
-        {
-            if fast_delivered > 0 {
-                self.trace(TraceKind::Delivery, fast_delivered);
-            }
-            if slow_delivered > 0 {
-                self.trace(TraceKind::SlowDrain, slow_delivered);
-            }
-            if fetch_issued > 0 {
-                self.trace(TraceKind::SlowFetch, fetch_issued as u64);
-            }
+        if fast_delivered > 0 {
+            self.trace(TraceKind::Delivery, fast_delivered);
+        }
+        if slow_delivered > 0 {
+            self.trace(TraceKind::SlowDrain, slow_delivered);
+        }
+        if fetch_issued > 0 {
+            self.trace(TraceKind::SlowFetch, fetch_issued as u64);
         }
         RecvOutcome {
             delivered,

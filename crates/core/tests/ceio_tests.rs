@@ -390,7 +390,6 @@ fn exhausted_elastic_store_degrades_to_drop_mode_and_recovers() {
     );
 }
 
-#[cfg(feature = "chaos")]
 mod chaos {
     use super::*;
     use ceio_chaos::{FaultPlan, FaultSite};

@@ -43,10 +43,8 @@ pub mod telemetry;
 pub use audit::HostAuditor;
 pub use config::HostConfig;
 pub use flowstate::{FlowState, ReadyPkt, SlowPkt};
-#[cfg(feature = "chaos")]
-pub use machine::arm_chaos;
 pub use machine::{
-    run_to_report, AppFactory, EngineStats, Event, FailoverStats, HostState, Machine,
+    arm_chaos, run_to_report, AppFactory, EngineStats, Event, FailoverStats, HostState, Machine,
     RecoveryStats, WATCHDOG_INTERVAL,
 };
 pub use measure::{ClassSample, Measurements, RunReport};
@@ -54,5 +52,4 @@ pub use policy::{DrainRequest, IoPolicy, SteerDecision, UnmanagedPolicy};
 pub use rxq::{QueueState, RxQueue, RxQueueStats};
 pub use scope::{arm_scope, DEFAULT_SCOPE_CAP};
 pub use slab::{DmaId, PktId};
-#[cfg(feature = "trace")]
 pub use telemetry::HostTrace;

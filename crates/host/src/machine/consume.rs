@@ -4,7 +4,6 @@
 use crate::flowstate::{ReadyPkt, SlowPkt};
 use crate::policy::IoPolicy;
 use crate::rxq::PendingDma;
-#[cfg(feature = "chaos")]
 use ceio_chaos::FaultSite;
 use ceio_net::{FlowClass, FlowId};
 use ceio_pcie::DmaError;
@@ -131,21 +130,18 @@ impl<P: IoPolicy> Machine<P> {
         // Injected consumer pause: the driver thread is descheduled for a
         // while (GC pause, noisy neighbour). The poll is deferred — rings
         // and the slow path back up, exercising the backpressure path.
-        #[cfg(feature = "chaos")]
-        {
-            let pause = self.st.chaos.as_mut().and_then(|ch| {
-                ch.injector
-                    .fire(FaultSite::ConsumerPause)
-                    .then(|| ch.injector.plan().consumer_pause)
-            });
-            if let Some(pause) = pause {
-                self.st.recovery.consumer_pauses += 1;
-                self.st.recovery.consumer_pause_ns += pause.as_nanos();
-                self.st
-                    .trace_event(now, None, TraceKind::ConsumerPause, pause.as_nanos());
-                self.schedule_poll(queue, now + pause, core);
-                return;
-            }
+        let pause = self.st.chaos.as_mut().and_then(|ch| {
+            ch.injector
+                .fire(FaultSite::ConsumerPause)
+                .then(|| ch.injector.plan().consumer_pause)
+        });
+        if let Some(pause) = pause {
+            self.st.recovery.consumer_pauses += 1;
+            self.st.recovery.consumer_pause_ns += pause.as_nanos();
+            self.st
+                .trace_event(now, None, TraceKind::ConsumerPause, pause.as_nanos());
+            self.schedule_poll(queue, now + pause, core);
+            return;
         }
         // Drop finished-and-drained flows from this core's service list.
         self.st.core_flows[core].retain(|id| {

@@ -11,17 +11,14 @@
 use crate::flowstate::FlowState;
 use crate::policy::IoPolicy;
 use crate::rxq::QueueState;
-#[cfg(feature = "chaos")]
 use ceio_chaos::{FaultInjector, FaultPlan, FaultSite};
 use ceio_net::{Dctcp, FlowId, FlowSpec, ScenarioEvent, TrafficGen};
 use ceio_nic::QueueId;
-use ceio_sim::{Duration, EventQueue, Time};
+use ceio_sim::{Duration, EventQueue, Simulation, Time};
 use ceio_telemetry::TraceKind;
 use serde::Serialize;
 
 use super::{Event, Machine};
-#[cfg(feature = "chaos")]
-use ceio_sim::Simulation;
 
 /// Queue-failover statistics. Always compiled (and always zero without a
 /// queue-level fault site armed, since the watchdog is only scheduled by
@@ -76,7 +73,6 @@ const PROBE_TICKS: u32 = 2;
 
 /// Host-side chaos state: the injector stream feeding consumer pauses and
 /// retry-backoff jitter.
-#[cfg(feature = "chaos")]
 #[derive(Debug)]
 pub(crate) struct HostChaos {
     pub(crate) injector: FaultInjector,
@@ -263,7 +259,6 @@ impl<P: IoPolicy> Machine<P> {
         // Phase 1 — fault injection: wedge queues per the armed plan. One
         // draw per site per queue per tick (ascending queue order), plus
         // one link-wide draw, all from independent tag-hashed streams.
-        #[cfg(feature = "chaos")]
         if let Some(ch) = self.st.chaos.as_mut() {
             let (stall, death, flap) = {
                 let plan = ch.injector.plan();
@@ -381,7 +376,6 @@ impl<P: IoPolicy> Machine<P> {
     }
 }
 
-#[cfg(feature = "chaos")]
 impl<P: IoPolicy> Machine<P> {
     /// Arm deterministic fault injection across every substrate component
     /// and the policy. Each component receives an independent injector
@@ -431,7 +425,6 @@ impl<P: IoPolicy> Machine<P> {
 /// the plan carries a queue-level fault site — schedule the queue-health
 /// watchdog that drives detection and failover. Plans without queue sites
 /// never schedule a watchdog tick, so their event schedules are untouched.
-#[cfg(feature = "chaos")]
 pub fn arm_chaos<P: IoPolicy>(sim: &mut Simulation<Machine<P>>, plan: &FaultPlan) {
     sim.model.arm_chaos(plan);
     if plan.rate(FaultSite::QueueStall) > 0.0

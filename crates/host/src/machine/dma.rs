@@ -21,8 +21,8 @@ use serde::Serialize;
 
 use super::{Event, HostState, Machine};
 
-/// Fault-recovery statistics. Always compiled (and always zero without the
-/// `chaos` feature armed, since the substrate never fails on its own);
+/// Fault-recovery statistics. Always zero unless a chaos plan is armed,
+/// since the substrate never fails on its own;
 /// exported through the telemetry snapshot so chaos experiments can assert
 /// that recovery actually ran.
 #[derive(Debug, Default, Clone, Serialize)]
@@ -55,20 +55,13 @@ impl HostState {
     /// desynchronise) and — for timeouts — the detection delay itself.
     pub(super) fn retry_backoff(&mut self, attempt: u32, timed_out: bool) -> Duration {
         let exp = attempt.saturating_sub(1).min(6);
-        let backoff = Duration::nanos(DMA_BACKOFF_BASE.as_nanos() << exp);
-        #[cfg(feature = "chaos")]
-        let backoff = {
-            let mut backoff = backoff;
-            if let Some(ch) = self.chaos.as_mut() {
-                if timed_out {
-                    backoff += ch.injector.plan().dma_timeout;
-                }
-                backoff += ch.injector.jitter(DMA_BACKOFF_BASE);
+        let mut backoff = Duration::nanos(DMA_BACKOFF_BASE.as_nanos() << exp);
+        if let Some(ch) = self.chaos.as_mut() {
+            if timed_out {
+                backoff += ch.injector.plan().dma_timeout;
             }
-            backoff
-        };
-        #[cfg(not(feature = "chaos"))]
-        let _ = timed_out;
+            backoff += ch.injector.jitter(DMA_BACKOFF_BASE);
+        }
         backoff
     }
 }

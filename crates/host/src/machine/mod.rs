@@ -37,13 +37,9 @@ pub(crate) mod control;
 pub(crate) mod dma;
 pub(crate) mod ingress;
 
-pub use control::{FailoverStats, WATCHDOG_INTERVAL};
-pub use dma::RecoveryStats;
-
-#[cfg(feature = "chaos")]
-pub use control::arm_chaos;
-#[cfg(feature = "chaos")]
 pub(crate) use control::HostChaos;
+pub use control::{arm_chaos, FailoverStats, WATCHDOG_INTERVAL};
+pub use dma::RecoveryStats;
 
 use crate::config::HostConfig;
 use crate::flowstate::FlowState;
@@ -214,7 +210,6 @@ pub struct HostState {
     read_attempts: u32,
     read_backoff_until: Time,
     /// Host-side chaos injector; `None` until [`Machine::arm_chaos`].
-    #[cfg(feature = "chaos")]
     pub(crate) chaos: Option<Box<HostChaos>>,
     /// Flight recorder; `None` until [`crate::scope::arm_scope`] arms it.
     pub(crate) scope: Option<Box<ceio_telemetry::FlightRecorder>>,
@@ -223,7 +218,6 @@ pub struct HostState {
     pub(crate) run_label: String,
     pacing: Pacing,
     /// Event-trace recorder; `None` until [`Machine::arm_trace`] arms it.
-    #[cfg(feature = "trace")]
     pub(crate) trace: Option<Box<crate::telemetry::HostTrace>>,
 }
 
@@ -465,12 +459,10 @@ impl<P: IoPolicy> Machine<P> {
             failover: FailoverStats::default(),
             read_attempts: 0,
             read_backoff_until: Time::ZERO,
-            #[cfg(feature = "chaos")]
             chaos: None,
             scope: None,
             run_label: "none".to_string(),
             pacing: Pacing::Poisson,
-            #[cfg(feature = "trace")]
             trace: None,
             cfg,
         };

@@ -8,9 +8,7 @@
 use crate::machine::HostState;
 use ceio_net::{FlowId, Packet};
 use ceio_sim::{Duration, Time};
-#[cfg(feature = "trace")]
-use ceio_telemetry::TraceEvent;
-use ceio_telemetry::{FlightRecorder, SnapshotBuilder};
+use ceio_telemetry::{FlightRecorder, SnapshotBuilder, TraceEvent};
 
 /// Steering decision for one packet at the NIC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,23 +166,20 @@ pub trait IoPolicy {
 
     /// Arm the policy's own trace recorders (credit manager, software
     /// rings) with ring capacity `cap`. The default records nothing.
-    #[cfg(feature = "trace")]
     fn arm_trace(&mut self, cap: usize) {
         let _ = cap;
     }
 
-    /// Arm the policy's own fault-injection stream (the `chaos` feature):
+    /// Arm the policy's own fault-injection stream (a `ceio-chaos` plan):
     /// lost/delayed credit releases, RMT install delays, credit leases.
     /// Called by [`crate::machine::Machine::arm_chaos`]; the default
     /// injects nothing.
-    #[cfg(feature = "chaos")]
     fn arm_chaos(&mut self, st: &mut HostState, plan: &ceio_chaos::FaultPlan) {
         let _ = (st, plan);
     }
 
     /// Drain the policy's trace recorders: events plus the count evicted
     /// by ring overflow. The default recorded nothing.
-    #[cfg(feature = "trace")]
     fn take_trace(&mut self) -> (Vec<TraceEvent>, u64) {
         (Vec::new(), 0)
     }

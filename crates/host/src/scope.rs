@@ -10,10 +10,9 @@
 //! lifetime totals, so each point describes *that epoch*, not the run so
 //! far — the shape the paper's occupancy/goodput-over-time figures need.
 //!
-//! Unlike tracing, scope sampling is not feature-gated: it is armed at
-//! runtime ([`arm_scope`]) and an unarmed machine pays one pointer-width
-//! test per scope event (of which there are none, since the tick is only
-//! scheduled when arming).
+//! Like tracing, scope sampling is armed at runtime ([`arm_scope`]) and an
+//! unarmed machine pays one pointer-width test per scope event (of which
+//! there are none, since the tick is only scheduled when arming).
 
 use crate::machine::{Event, HostState, Machine};
 use crate::policy::IoPolicy;
@@ -346,7 +345,6 @@ mod tests {
     /// Each SLO fire must also land in the event trace (as a
     /// `slo-alert` event) so alert onsets line up with the surrounding
     /// pipeline events in the chrome timeline.
-    #[cfg(feature = "trace")]
     #[test]
     fn slo_fires_land_in_the_event_trace() {
         let rules = SloRule::parse_spec("alert=load,when=goodput_gbps,above=0.0001,for=100us")

@@ -9,25 +9,22 @@
 //!   latency histograms, the measurement time series, the policy's private
 //!   metrics, and — when the `audit` feature is armed — the invariant
 //!   auditor's report.
-//! * Event tracing — behind the `trace` cargo feature: a per-machine
-//!   [`TraceRing`] plus a per-flow [`BreakdownSet`], fed by hooks in the
-//!   event handlers. With the feature off, [`HostState::trace_event`] and
-//!   [`HostState::trace_stage`] are empty inline functions (same
-//!   signatures — `ceio-telemetry` types are always nameable), so the hot
-//!   path compiles to nothing: no recorder allocation, no branch per
-//!   delivery.
+//! * Event tracing — armed at runtime by [`Machine::arm_trace`]: a
+//!   per-machine [`TraceRing`] plus a per-flow [`BreakdownSet`], fed by
+//!   hooks in the event handlers. Until armed, [`HostState::trace_event`]
+//!   and [`HostState::trace_stage`] cost one `Option` test each: no
+//!   recorder allocation, no event construction.
 
 use crate::machine::{HostState, Machine};
 use crate::policy::IoPolicy;
 use ceio_sim::{Duration, Time};
-#[cfg(feature = "trace")]
-use ceio_telemetry::{merge_events, BreakdownSet, TraceEvent, TraceRing};
-use ceio_telemetry::{Snapshot, SnapshotBuilder, Stage, TraceKind};
+use ceio_telemetry::{
+    merge_events, BreakdownSet, Snapshot, SnapshotBuilder, Stage, TraceEvent, TraceKind, TraceRing,
+};
 
 /// The machine's trace recorder: one merged event ring for machine-level
 /// events plus the per-flow path breakdown. Boxed inside [`HostState`] so
 /// an unarmed run carries a single null pointer.
-#[cfg(feature = "trace")]
 #[derive(Debug)]
 pub struct HostTrace {
     /// Machine-level event ring (drops, deliveries, stage transitions).
@@ -38,7 +35,6 @@ pub struct HostTrace {
     pub cap: usize,
 }
 
-#[cfg(feature = "trace")]
 impl HostState {
     /// Record one machine-level trace event (no-op until armed).
     #[inline]
@@ -60,21 +56,6 @@ impl HostState {
         if let Some(tr) = self.trace.as_mut() {
             tr.breakdown.record(flow, stage, d);
         }
-    }
-}
-
-#[cfg(not(feature = "trace"))]
-impl HostState {
-    /// Trace hook (feature `trace` disabled): compiles to nothing.
-    #[inline(always)]
-    pub(crate) fn trace_event(&mut self, at: Time, flow: Option<u32>, kind: TraceKind, value: u64) {
-        let _ = (at, flow, kind, value);
-    }
-
-    /// Breakdown hook (feature `trace` disabled): compiles to nothing.
-    #[inline(always)]
-    pub(crate) fn trace_stage(&mut self, flow: Option<u32>, stage: Stage, d: Duration) {
-        let _ = (flow, stage, d);
     }
 }
 
@@ -373,26 +354,22 @@ impl<P: IoPolicy> Machine<P> {
             st.engine.timers_cancelled,
         );
 
-        // Chaos injection counters, when the feature is compiled in.
-        // Zero unless a fault plan is armed.
-        #[cfg(feature = "chaos")]
-        {
-            b.counter(
-                "ceio_chaos_onboard_injected_rejections_total",
-                "On-NIC memory writes rejected by injected exhaustion.",
-                ob.injected_rejections,
-            );
-            b.counter(
-                "ceio_chaos_arm_injected_stall_ns_total",
-                "NIC ARM core stall nanoseconds injected by the fault plan.",
-                arm.injected_stall_ns,
-            );
-            b.counter(
-                "ceio_chaos_injected_total",
-                "Faults injected across every armed machine-level site.",
-                self.injected_faults(),
-            );
-        }
+        // Chaos injection counters: zero unless a fault plan is armed.
+        b.counter(
+            "ceio_chaos_onboard_injected_rejections_total",
+            "On-NIC memory writes rejected by injected exhaustion.",
+            ob.injected_rejections,
+        );
+        b.counter(
+            "ceio_chaos_arm_injected_stall_ns_total",
+            "NIC ARM core stall nanoseconds injected by the fault plan.",
+            arm.injected_stall_ns,
+        );
+        b.counter(
+            "ceio_chaos_injected_total",
+            "Faults injected across every armed machine-level site.",
+            self.injected_faults(),
+        );
 
         // Host memory hierarchy: LLC (DDIO), IIO buffer, DRAM.
         let llc = st.memctrl.llc.stats();
@@ -618,7 +595,6 @@ impl<P: IoPolicy> Machine<P> {
         );
 
         // Path-stage breakdown (populated only while tracing is armed).
-        #[cfg(feature = "trace")]
         if let Some(tr) = st.trace.as_ref() {
             for stage in Stage::ALL {
                 b.summary_with(
@@ -682,7 +658,6 @@ impl<P: IoPolicy> Machine<P> {
     }
 }
 
-#[cfg(feature = "trace")]
 impl<P: IoPolicy> Machine<P> {
     /// Arm event tracing with a drop-oldest ring of `cap` events per
     /// recorder (machine, DMA engine, on-NIC memory, and the policy's own

@@ -240,7 +240,6 @@ fn iio_backpressure_preserves_conservation() {
 /// matched `Err(_) => break` — a transient fault with no pending completion
 /// would have wedged the staging queue forever. These tests pin the
 /// recovery behaviour for every injected `DmaError` variant.
-#[cfg(feature = "chaos")]
 mod chaos {
     use super::*;
     use ceio_chaos::{FaultPlan, FaultSite};

@@ -177,7 +177,6 @@ proptest! {
 /// pauses — packet conservation holds (every emitted packet is delivered
 /// or counted dropped; recovery never wedges the pipeline) and the run
 /// replays bit-identically.
-#[cfg(feature = "chaos")]
 mod chaos {
     use super::*;
     use ceio_chaos::{FaultPlan, FaultSite};

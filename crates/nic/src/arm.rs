@@ -7,7 +7,6 @@
 //! control-plane work has a measurable (and, per Fig. 11, negligible) cost
 //! rather than being assumed free.
 
-#[cfg(feature = "chaos")]
 use ceio_chaos::{FaultInjector, FaultSite};
 use ceio_sim::{Duration, Time};
 use serde::Serialize;
@@ -29,8 +28,7 @@ pub struct ArmStats {
 pub struct ArmCore {
     busy_until: Time,
     stats: ArmStats,
-    #[cfg(feature = "chaos")]
-    injector: Option<FaultInjector>,
+    injector: Option<Box<FaultInjector>>,
 }
 
 impl Default for ArmCore {
@@ -45,40 +43,32 @@ impl ArmCore {
         ArmCore {
             busy_until: Time::ZERO,
             stats: ArmStats::default(),
-            #[cfg(feature = "chaos")]
             injector: None,
         }
     }
 
     /// Arm deterministic fault injection (core stalls).
-    #[cfg(feature = "chaos")]
     pub fn arm_chaos(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
+        self.injector = Some(Box::new(injector));
     }
 
     /// Per-site injection counters (empty when chaos is disarmed).
-    #[cfg(feature = "chaos")]
     pub fn chaos_stats(&self) -> Option<&ceio_chaos::ChaosStats> {
-        self.injector.as_ref().map(FaultInjector::stats)
+        self.injector.as_deref().map(FaultInjector::stats)
     }
 
     /// Execute one operation costing `cost`, starting no earlier than `now`
     /// and after any previous operation finishes. Returns the completion
     /// instant. An armed chaos plan may stall the core first (the stall is
     /// charged to the core's busy time, delaying this and all later ops).
-    pub fn execute(&mut self, now: Time, cost: Duration) -> Time {
-        #[cfg(feature = "chaos")]
-        let cost = {
-            let mut cost = cost;
-            if let Some(inj) = self.injector.as_mut() {
-                if inj.fire(FaultSite::ArmStall) {
-                    let stall = inj.plan().arm_stall;
-                    self.stats.injected_stall_ns += stall.as_nanos();
-                    cost += stall;
-                }
+    pub fn execute(&mut self, now: Time, mut cost: Duration) -> Time {
+        if let Some(inj) = self.injector.as_mut() {
+            if inj.fire(FaultSite::ArmStall) {
+                let stall = inj.plan().arm_stall;
+                self.stats.injected_stall_ns += stall.as_nanos();
+                cost += stall;
             }
-            cost
-        };
+        }
         let start = self.busy_until.max(now);
         self.busy_until = start + cost;
         self.stats.ops += 1;
@@ -130,10 +120,9 @@ mod tests {
         assert_eq!(c.stats().busy_ns, 20);
     }
 
-    #[cfg(feature = "chaos")]
     #[test]
     fn injected_stall_extends_busy_time() {
-        use ceio_chaos::{FaultPlan, FaultSite};
+        use ceio_chaos::FaultPlan;
         let mut c = ArmCore::new();
         let plan = FaultPlan::new(5).with_rate(FaultSite::ArmStall, 1.0);
         let stall = plan.arm_stall;

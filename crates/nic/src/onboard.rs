@@ -7,10 +7,8 @@
 //! lower sustained bandwidth than host DRAM. Byte-capacity accounting lets
 //! experiments verify the elastic buffer never exceeds the device.
 
-#[cfg(feature = "chaos")]
 use ceio_chaos::{FaultInjector, FaultSite};
 use ceio_sim::{Bandwidth, Duration, Time};
-#[cfg(feature = "trace")]
 use ceio_telemetry::{TraceEvent, TraceKind, TraceRing};
 use serde::Serialize;
 
@@ -39,10 +37,8 @@ pub struct OnboardMemory {
     base_latency: Duration,
     busy_until: Time,
     stats: OnboardStats,
-    #[cfg(feature = "trace")]
     tracer: Option<TraceRing>,
-    #[cfg(feature = "chaos")]
-    injector: Option<FaultInjector>,
+    injector: Option<Box<FaultInjector>>,
 }
 
 impl OnboardMemory {
@@ -55,33 +51,27 @@ impl OnboardMemory {
             base_latency,
             busy_until: Time::ZERO,
             stats: OnboardStats::default(),
-            #[cfg(feature = "trace")]
             tracer: None,
-            #[cfg(feature = "chaos")]
             injector: None,
         }
     }
 
     /// Arm deterministic fault injection (DRAM-store exhaustion).
-    #[cfg(feature = "chaos")]
     pub fn arm_chaos(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
+        self.injector = Some(Box::new(injector));
     }
 
     /// Per-site injection counters (empty when chaos is disarmed).
-    #[cfg(feature = "chaos")]
     pub fn chaos_stats(&self) -> Option<&ceio_chaos::ChaosStats> {
-        self.injector.as_ref().map(FaultInjector::stats)
+        self.injector.as_deref().map(FaultInjector::stats)
     }
 
     /// Arm event recording into a fresh drop-oldest ring of `cap` events.
-    #[cfg(feature = "trace")]
     pub fn arm_trace(&mut self, cap: usize) {
         self.tracer = Some(TraceRing::new(cap));
     }
 
     /// Drain recorded events (and the dropped count), if armed.
-    #[cfg(feature = "trace")]
     pub fn trace_take(&mut self) -> (Vec<TraceEvent>, u64) {
         match self.tracer.as_mut() {
             Some(r) => {
@@ -94,7 +84,6 @@ impl OnboardMemory {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[inline]
     fn trace(&mut self, at: Time, kind: TraceKind, value: u64) {
         if let Some(r) = self.tracer.as_mut() {
@@ -111,7 +100,6 @@ impl OnboardMemory {
     /// `None` if the store is out of capacity (the packet must be dropped —
     /// with 16 GB this only happens in adversarial tests).
     pub fn write(&mut self, now: Time, bytes: u64) -> Option<Time> {
-        #[cfg(feature = "chaos")]
         if let Some(inj) = self.injector.as_mut() {
             if inj.fire(FaultSite::OnboardExhaust) {
                 // The store behaves as if the elastic region filled
@@ -128,7 +116,6 @@ impl OnboardMemory {
         self.occupancy += bytes;
         self.stats.bytes_written += bytes;
         self.stats.peak_bytes = self.stats.peak_bytes.max(self.occupancy);
-        #[cfg(feature = "trace")]
         self.trace(now, TraceKind::OnboardWrite, bytes);
         Some(self.serve(now, bytes))
     }
@@ -143,7 +130,6 @@ impl OnboardMemory {
         );
         self.occupancy = self.occupancy.saturating_sub(bytes);
         self.stats.bytes_read += bytes;
-        #[cfg(feature = "trace")]
         self.trace(now, TraceKind::OnboardRead, bytes);
         self.serve(now, bytes)
     }
@@ -217,10 +203,9 @@ mod tests {
         assert!(b > a, "second access queues behind the first");
     }
 
-    #[cfg(feature = "chaos")]
     #[test]
     fn injected_exhaustion_rejects_without_state_change() {
-        use ceio_chaos::{FaultPlan, FaultSite};
+        use ceio_chaos::FaultPlan;
         let mut m = mem();
         let plan = FaultPlan::new(3).with_rate(FaultSite::OnboardExhaust, 1.0);
         m.arm_chaos(plan.injector("onboard"));

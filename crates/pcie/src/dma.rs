@@ -9,10 +9,8 @@
 
 use crate::link::{Direction, PcieLink};
 use crate::params::PcieParams;
-#[cfg(feature = "chaos")]
 use ceio_chaos::{FaultInjector, FaultSite};
 use ceio_sim::Time;
-#[cfg(feature = "trace")]
 use ceio_telemetry::{TraceEvent, TraceKind, TraceRing};
 use serde::Serialize;
 
@@ -107,10 +105,8 @@ pub struct DmaEngine {
     /// Per-channel posted-credit slice (`ceil(link budget / channels)`).
     chan_cap: u32,
     stats: DmaStats,
-    #[cfg(feature = "trace")]
     tracer: Option<TraceRing>,
-    #[cfg(feature = "chaos")]
-    injector: Option<FaultInjector>,
+    injector: Option<Box<FaultInjector>>,
 }
 
 impl DmaEngine {
@@ -124,9 +120,7 @@ impl DmaEngine {
             chan_inflight: vec![0],
             chan_cap: cap,
             stats: DmaStats::default(),
-            #[cfg(feature = "trace")]
             tracer: None,
-            #[cfg(feature = "chaos")]
             injector: None,
         }
     }
@@ -161,19 +155,16 @@ impl DmaEngine {
     }
 
     /// Arm deterministic fault injection on this engine.
-    #[cfg(feature = "chaos")]
     pub fn arm_chaos(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
+        self.injector = Some(Box::new(injector));
     }
 
     /// Per-site injection counters (empty when chaos is disarmed).
-    #[cfg(feature = "chaos")]
     pub fn chaos_stats(&self) -> Option<&ceio_chaos::ChaosStats> {
-        self.injector.as_ref().map(FaultInjector::stats)
+        self.injector.as_deref().map(FaultInjector::stats)
     }
 
     /// Evaluate the write-side fault sites for one issue attempt.
-    #[cfg(feature = "chaos")]
     #[inline]
     fn inject_write_fault(&mut self) -> Option<DmaError> {
         let inj = self.injector.as_mut()?;
@@ -187,7 +178,6 @@ impl DmaEngine {
     }
 
     /// Evaluate the read-side fault sites for one issue attempt.
-    #[cfg(feature = "chaos")]
     #[inline]
     fn inject_read_fault(&mut self) -> Option<DmaError> {
         let inj = self.injector.as_mut()?;
@@ -201,13 +191,11 @@ impl DmaEngine {
     }
 
     /// Arm event recording into a fresh drop-oldest ring of `cap` events.
-    #[cfg(feature = "trace")]
     pub fn arm_trace(&mut self, cap: usize) {
         self.tracer = Some(TraceRing::new(cap));
     }
 
     /// Drain recorded events (and the dropped count), if armed.
-    #[cfg(feature = "trace")]
     pub fn trace_take(&mut self) -> (Vec<TraceEvent>, u64) {
         match self.tracer.as_mut() {
             Some(r) => {
@@ -220,7 +208,6 @@ impl DmaEngine {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[inline]
     fn trace(&mut self, at: Time, kind: TraceKind, value: u64) {
         if let Some(r) = self.tracer.as_mut() {
@@ -251,22 +238,18 @@ impl DmaEngine {
             || self.chan_inflight[ch] >= self.chan_cap
         {
             self.stats.write_stalls += 1;
-            #[cfg(feature = "trace")]
             self.trace(now, TraceKind::DmaWriteStall, payload);
             return Err(DmaError::NoWriteCredit);
         }
-        #[cfg(feature = "chaos")]
         if let Some(err) = self.inject_write_fault() {
             // The link rejected the transaction: no credit consumed.
             self.stats.write_faults += 1;
-            #[cfg(feature = "trace")]
             self.trace(now, TraceKind::DmaFault, payload);
             return Err(err);
         }
         self.inflight_writes += 1;
         self.chan_inflight[ch] += 1;
         self.stats.writes += 1;
-        #[cfg(feature = "trace")]
         self.trace(now, TraceKind::DmaWriteIssue, payload);
         Ok(self.link.transfer(now, Direction::ToHost, payload))
     }
@@ -298,20 +281,16 @@ impl DmaEngine {
     pub fn try_read_request(&mut self, now: Time) -> Result<Time, DmaError> {
         if self.inflight_reads >= self.link.params().max_inflight_reads {
             self.stats.read_stalls += 1;
-            #[cfg(feature = "trace")]
             self.trace(now, TraceKind::DmaReadStall, 0);
             return Err(DmaError::NoReadCredit);
         }
-        #[cfg(feature = "chaos")]
         if let Some(err) = self.inject_read_fault() {
             self.stats.read_faults += 1;
-            #[cfg(feature = "trace")]
             self.trace(now, TraceKind::DmaFault, 0);
             return Err(err);
         }
         self.inflight_reads += 1;
         self.stats.reads += 1;
-        #[cfg(feature = "trace")]
         self.trace(now, TraceKind::DmaReadIssue, 0);
         // A read request TLP carries no payload.
         Ok(self.link.transfer(now, Direction::ToNic, 0))
@@ -323,7 +302,6 @@ impl DmaEngine {
     pub fn read_completion(&mut self, nic_time: Time, payload: u64) -> Time {
         debug_assert!(self.inflight_reads > 0, "read completion underflow");
         self.inflight_reads = self.inflight_reads.saturating_sub(1);
-        #[cfg(feature = "trace")]
         self.trace(nic_time, TraceKind::DmaReadComplete, payload);
         self.link.transfer(nic_time, Direction::ToHost, payload)
     }
@@ -481,10 +459,9 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "chaos")]
     mod chaos {
         use super::*;
-        use ceio_chaos::{FaultPlan, FaultSite};
+        use ceio_chaos::FaultPlan;
 
         #[test]
         fn injected_write_fault_consumes_no_credit_and_counts() {

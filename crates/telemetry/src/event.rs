@@ -10,8 +10,7 @@
 //!
 //! Recording is designed to be armed at runtime: components hold an
 //! `Option<TraceRing>` that is `None` until armed, so an unarmed run costs
-//! one pointer-width test per hook. With the `trace` cargo feature disabled
-//! in the consuming crates, the hooks themselves compile away entirely.
+//! one pointer-width test per hook.
 
 use ceio_sim::Time;
 use std::collections::VecDeque;

@@ -20,9 +20,8 @@
 //!
 //! This crate deliberately depends only on `ceio-sim`, so every layer
 //! (nic, pcie, host, core, bench) can use it without cycles. Recording is
-//! opt-in twice over: components hold `Option<TraceRing>` armed at
-//! runtime, and the consuming crates gate the hooks behind a `trace`
-//! cargo feature so a disabled build compiles them away entirely.
+//! opt-in at runtime: components hold an `Option<TraceRing>` that is
+//! `None` until armed, so an unarmed hook costs one `Option` test.
 
 #![warn(missing_docs)]
 

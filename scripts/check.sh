@@ -24,12 +24,8 @@ cargo xtask analyze --format json > analyze-report.json \
 echo "==> cargo clippy (default features)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo clippy (audit + chaos)"
-cargo clippy --workspace --all-targets --offline \
-    --features "audit chaos" -- -D warnings
-
-echo "==> cargo clippy (trace)"
-cargo clippy --workspace --all-targets --offline --features trace -- -D warnings
+echo "==> cargo clippy (audit)"
+cargo clippy --workspace --all-targets --offline --features audit -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
@@ -40,14 +36,8 @@ cargo test --workspace --offline -q
 echo "==> cargo test (audit enabled)"
 cargo test --workspace --offline -q --features audit
 
-echo "==> cargo test (trace enabled)"
-cargo test --workspace --offline -q --features trace
-
-echo "==> cargo test (chaos enabled)"
-cargo test --workspace --offline -q --features chaos
-
 echo "==> telemetry smoke (ceio-inspect)"
-cargo build --offline -p ceio-bench --features trace --bin ceio-inspect
+cargo build --offline -p ceio-bench --bin ceio-inspect
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 target/debug/ceio-inspect --scenario kv --millis 3 \
@@ -90,7 +80,6 @@ grep -q "^ceio_credit_conserved 1$" "$smoke_dir/q4-metrics.prom" \
 echo "queue-scaling smoke passed"
 
 echo "==> chaos smoke (ceio-inspect under a canned fault storm)"
-cargo build --offline -p ceio-bench --features "trace chaos" --bin ceio-inspect
 target/debug/ceio-inspect --scenario kv --millis 3 \
     --fault-plan smoke --seed 1234 \
     --trace-out "$smoke_dir/chaos-trace.json" \
@@ -113,7 +102,7 @@ done
 echo "chaos smoke passed"
 
 echo "==> scope smoke (flight recorder, SLO alerts, report figures)"
-# Reuses the trace+chaos ceio-inspect built above. A short traced run
+# Reuses the ceio-inspect built above. A short traced run
 # with an SLO that must fire (goodput above a hair over zero, held for
 # two epochs) proves the whole observability loop: the recorder samples,
 # the alert engine fires and exports, and the HTML report carries the
@@ -186,7 +175,7 @@ grep -q '^# TYPE ceio_llc_bypass_total counter' "$smoke_dir/ddio-metrics.prom" \
 echo "ddio smoke passed"
 
 echo "==> failover smoke (queue-flap plan, 4 queues)"
-# Reuses the trace+chaos ceio-inspect built above. The canned queue-flap
+# Reuses the ceio-inspect built above. The canned queue-flap
 # plan must kill at least one RSS queue, the watchdog must fail it over
 # and bring it back to Healthy, and the credit ledger must stay
 # conserving across quarantine and restore.

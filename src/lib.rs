@@ -7,6 +7,7 @@
 
 pub use ceio_apps as apps;
 pub use ceio_baselines as baselines;
+pub use ceio_chaos as chaos;
 pub use ceio_core as core;
 pub use ceio_cpu as cpu;
 pub use ceio_host as host;
