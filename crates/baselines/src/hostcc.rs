@@ -132,7 +132,7 @@ impl IoPolicy for HostCcPolicy {
     fn on_controller_poll(&mut self, st: &mut HostState, _now: Time) {
         let occ = st.iio_fraction();
         // Sample the LLC miss rate over the last detection window. The
-        // stats surface is the `LlcModel` trait's, so the signal is
+        // stats surface is the `Llc` enum's, so the signal is
         // model-agnostic: pool and set-associative runs feed HostCC the
         // same windowed hit/miss deltas.
         let s = st.memctrl.llc.stats();

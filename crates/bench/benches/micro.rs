@@ -62,9 +62,10 @@ fn bench_swring(c: &mut Criterion) {
 fn bench_llc(c: &mut Criterion) {
     c.bench_function("llc_insert_lookup_consume", |b| {
         let mut llc = IoLlc::new(6 << 20);
+        let mut evicted = Vec::new();
         let mut i = 0u64;
         b.iter(|| {
-            llc.insert(BufferId(i), 2048);
+            llc.insert(BufferId(i), 2048, &mut evicted);
             black_box(llc.lookup(BufferId(i)));
             llc.consume(BufferId(i));
             i += 1;
@@ -72,9 +73,12 @@ fn bench_llc(c: &mut Criterion) {
     });
     c.bench_function("llc_thrash_evictions", |b| {
         let mut llc = IoLlc::new(64 * 2048);
+        let mut evicted = Vec::new();
         let mut i = 0u64;
         b.iter(|| {
-            black_box(llc.insert(BufferId(i), 2048).len());
+            evicted.clear();
+            llc.insert(BufferId(i), 2048, &mut evicted);
+            black_box(evicted.len());
             i += 1;
         });
     });

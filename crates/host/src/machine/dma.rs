@@ -219,7 +219,7 @@ impl<P: IoPolicy> Machine<P> {
             self.st.memctrl.retire_uncached(now, pd.pkt.bytes)
         } else {
             let over_before = self.st.memctrl.llc.stats().over_capacity_events;
-            let done = self.st.memctrl.retire(now, pd.buf, pd.pkt.bytes).0;
+            let done = self.st.memctrl.retire(now, pd.buf, pd.pkt.bytes);
             if self.st.memctrl.llc.stats().over_capacity_events > over_before {
                 self.st.trace_event(
                     now,

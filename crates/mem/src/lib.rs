@@ -7,7 +7,7 @@
 //!   before the memory controller drains them (stage ②→③). Its occupancy is
 //!   the congestion signal HostCC monitors.
 //! * [`IoLlc`] / [`SetAssocLlc`] — two models of the DDIO-reachable LLC
-//!   partition behind the [`LlcModel`] trait. The pool ([`IoLlc`], default)
+//!   partition, dispatched by the [`Llc`] enum. The pool ([`IoLlc`], default)
 //!   is an occupancy-LRU pool of I/O buffers: in-flight I/O bytes beyond its
 //!   capacity evict the least-recently-written buffers to DRAM *before the
 //!   CPU reads them* — the premature-eviction pathology that all of §2.2 is
@@ -37,6 +37,6 @@ pub use dram::Dram;
 pub use iio::IioBuffer;
 pub use llc::{BufferId, IoLlc, LlcStats};
 pub use memctrl::{CpuReadOutcome, DmaWriteOutcome, MemoryController};
-pub use model::{Llc, LlcModel, WayOccupancy};
+pub use model::{Llc, WayOccupancy};
 pub use params::{LlcModelKind, MemParams};
 pub use setassoc::{SetAssocLlc, SetAssocParams, LINE_BYTES};

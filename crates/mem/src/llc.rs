@@ -124,12 +124,13 @@ impl IoLlc {
         self.entries.contains_key(&id)
     }
 
-    /// DDIO insertion of a DMA-written buffer. Returns the buffers evicted
-    /// (oldest first) to make room; their consumers will miss to DRAM.
+    /// DDIO insertion of a DMA-written buffer. Appends the buffers evicted
+    /// (oldest first) to make room to `evicted`; their consumers will miss
+    /// to DRAM.
     ///
     /// Inserting an id that is already resident refreshes its recency and
     /// size (a buffer reused for a new packet).
-    pub fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
+    pub fn insert(&mut self, id: BufferId, bytes: u64, evicted: &mut Vec<BufferId>) {
         self.stats.insertions += 1;
         if let Some(old) = self.entries.remove(&id) {
             self.order.remove(&old.seq);
@@ -141,7 +142,6 @@ impl IoLlc {
         self.order.insert(seq, id);
         self.occupancy_bytes += bytes;
 
-        let mut evicted = Vec::new();
         while self.occupancy_bytes > self.capacity_bytes && self.entries.len() > 1 {
             // Evict the least recently written/used entry, but never the one
             // just inserted (DDIO always lands the incoming line).
@@ -170,7 +170,6 @@ impl IoLlc {
             // silently reporting occupancy > capacity.
             self.stats.over_capacity_events += 1;
         }
-        evicted
     }
 
     /// CPU lookup of a buffer: records a hit (refreshing recency) or a miss.
@@ -224,6 +223,13 @@ impl IoLlc {
 mod tests {
     use super::*;
 
+    /// `insert`, collecting this call's evictions.
+    fn ins(llc: &mut IoLlc, id: u64, bytes: u64) -> Vec<BufferId> {
+        let mut out = Vec::new();
+        llc.insert(BufferId(id), bytes, &mut out);
+        out
+    }
+
     fn ids(v: &[u64]) -> Vec<BufferId> {
         v.iter().map(|&i| BufferId(i)).collect()
     }
@@ -232,7 +238,7 @@ mod tests {
     fn fills_to_capacity_without_eviction() {
         let mut llc = IoLlc::new(8192);
         for i in 0..4 {
-            assert!(llc.insert(BufferId(i), 2048).is_empty());
+            assert!(ins(&mut llc, i, 2048).is_empty());
         }
         assert_eq!(llc.occupancy(), 8192);
         assert_eq!(llc.stats().evictions, 0);
@@ -241,9 +247,9 @@ mod tests {
     #[test]
     fn overflow_evicts_lru_first() {
         let mut llc = IoLlc::new(4096);
-        llc.insert(BufferId(1), 2048);
-        llc.insert(BufferId(2), 2048);
-        let evicted = llc.insert(BufferId(3), 2048);
+        ins(&mut llc, 1, 2048);
+        ins(&mut llc, 2, 2048);
+        let evicted = ins(&mut llc, 3, 2048);
         assert_eq!(evicted, ids(&[1]));
         assert!(llc.contains(BufferId(2)));
         assert!(llc.contains(BufferId(3)));
@@ -253,18 +259,18 @@ mod tests {
     #[test]
     fn lookup_refreshes_recency() {
         let mut llc = IoLlc::new(4096);
-        llc.insert(BufferId(1), 2048);
-        llc.insert(BufferId(2), 2048);
+        ins(&mut llc, 1, 2048);
+        ins(&mut llc, 2, 2048);
         assert!(llc.lookup(BufferId(1))); // 1 becomes most recent
-        let evicted = llc.insert(BufferId(3), 2048);
+        let evicted = ins(&mut llc, 3, 2048);
         assert_eq!(evicted, ids(&[2]), "2 is now LRU");
     }
 
     #[test]
     fn miss_recorded_for_evicted_buffer() {
         let mut llc = IoLlc::new(2048);
-        llc.insert(BufferId(1), 2048);
-        llc.insert(BufferId(2), 2048); // evicts 1
+        ins(&mut llc, 1, 2048);
+        ins(&mut llc, 2, 2048); // evicts 1
         assert!(!llc.lookup(BufferId(1)));
         assert!(llc.lookup(BufferId(2)));
         let s = llc.stats();
@@ -275,19 +281,19 @@ mod tests {
     #[test]
     fn consume_frees_occupancy() {
         let mut llc = IoLlc::new(4096);
-        llc.insert(BufferId(1), 2048);
-        llc.insert(BufferId(2), 2048);
+        ins(&mut llc, 1, 2048);
+        ins(&mut llc, 2, 2048);
         llc.consume(BufferId(1));
         assert_eq!(llc.occupancy(), 2048);
         // Room again: no eviction.
-        assert!(llc.insert(BufferId(3), 2048).is_empty());
+        assert!(ins(&mut llc, 3, 2048).is_empty());
     }
 
     #[test]
     fn consume_after_eviction_is_noop() {
         let mut llc = IoLlc::new(2048);
-        llc.insert(BufferId(1), 2048);
-        llc.insert(BufferId(2), 2048);
+        ins(&mut llc, 1, 2048);
+        ins(&mut llc, 2, 2048);
         llc.consume(BufferId(1)); // already evicted
         assert_eq!(llc.occupancy(), 2048);
     }
@@ -295,8 +301,8 @@ mod tests {
     #[test]
     fn reinserting_same_id_refreshes_without_double_count() {
         let mut llc = IoLlc::new(4096);
-        llc.insert(BufferId(1), 2048);
-        llc.insert(BufferId(1), 2048);
+        ins(&mut llc, 1, 2048);
+        ins(&mut llc, 1, 2048);
         assert_eq!(llc.occupancy(), 2048);
         assert_eq!(llc.resident_count(), 1);
     }
@@ -305,7 +311,7 @@ mod tests {
     fn never_evicts_incoming_buffer() {
         // Oversized buffer relative to capacity: stays resident alone.
         let mut llc = IoLlc::new(1024);
-        let evicted = llc.insert(BufferId(1), 4096);
+        let evicted = ins(&mut llc, 1, 4096);
         assert!(evicted.is_empty());
         assert!(llc.contains(BufferId(1)));
     }
@@ -313,12 +319,12 @@ mod tests {
     #[test]
     fn over_capacity_insert_is_counted() {
         let mut llc = IoLlc::new(1024);
-        llc.insert(BufferId(1), 4096);
+        ins(&mut llc, 1, 4096);
         assert_eq!(llc.stats().over_capacity_events, 1);
         // Evicting everything else and still not fitting also counts.
         let mut llc = IoLlc::new(4096);
-        llc.insert(BufferId(1), 2048);
-        llc.insert(BufferId(2), 8192);
+        ins(&mut llc, 1, 2048);
+        ins(&mut llc, 2, 8192);
         assert_eq!(llc.stats().over_capacity_events, 1);
         assert_eq!(llc.stats().evictions, 1);
     }
@@ -326,9 +332,9 @@ mod tests {
     #[test]
     fn within_capacity_insert_is_not_over_capacity() {
         let mut llc = IoLlc::new(4096);
-        llc.insert(BufferId(1), 2048);
-        llc.insert(BufferId(2), 2048);
-        llc.insert(BufferId(3), 2048); // evicts 1, fits fine
+        ins(&mut llc, 1, 2048);
+        ins(&mut llc, 2, 2048);
+        ins(&mut llc, 3, 2048); // evicts 1, fits fine
         assert_eq!(llc.stats().over_capacity_events, 0);
     }
 
@@ -345,8 +351,8 @@ mod tests {
     #[test]
     fn eviction_age_accumulates() {
         let mut llc = IoLlc::new(2048);
-        llc.insert(BufferId(1), 2048); // seq 0
-        llc.insert(BufferId(2), 2048); // seq 1; evicts 1 (age = 2 - 0)
+        ins(&mut llc, 1, 2048); // seq 0
+        ins(&mut llc, 2, 2048); // seq 1; evicts 1 (age = 2 - 0)
         assert_eq!(llc.stats().eviction_age_sum, 2);
         assert_eq!(llc.stats().evictions, 1);
     }
@@ -358,8 +364,8 @@ mod tests {
         // overflow fraction. Shape check for the Fig. 9 baseline (~88%).
         let mut llc = IoLlc::new(16 * 2048);
         for next_read in 0..10_000u64 {
-            llc.insert(BufferId(2 * next_read), 2048);
-            llc.insert(BufferId(2 * next_read + 1), 2048);
+            ins(&mut llc, 2 * next_read, 2048);
+            ins(&mut llc, 2 * next_read + 1, 2048);
             // Consumer keeps up with half the rate.
             llc.lookup(BufferId(next_read));
             llc.consume(BufferId(next_read));

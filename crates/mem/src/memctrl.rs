@@ -49,6 +49,9 @@ pub struct MemoryController {
     pub dram: Dram,
     /// IIO staging buffer (public: HostCC monitors occupancy).
     pub iio: IioBuffer,
+    /// Evictions of the latest retire, reused across retires so a DMA
+    /// write never allocates.
+    evicted: Vec<BufferId>,
 }
 
 impl MemoryController {
@@ -58,6 +61,7 @@ impl MemoryController {
             llc: Llc::from_params(&params),
             dram: Dram::new(params.dram_bandwidth, params.dram_base_latency),
             iio: IioBuffer::new(params.iio_capacity_bytes),
+            evicted: Vec::new(),
             params,
         }
     }
@@ -75,7 +79,7 @@ impl MemoryController {
     }
 
     /// Retire a staged DMA write of `bytes` into buffer `id`, returning the
-    /// retire instant and any DDIO evictions.
+    /// retire instant.
     ///
     /// With DDIO enabled the data allocates into the LLC partition. When the
     /// partition is *not* overflowing, the write retires at LLC speed; when
@@ -84,21 +88,18 @@ impl MemoryController {
     /// into the IIO buffer (and from there into PCIe credits), producing the
     /// HostCC congestion signal *after* misses have already begun (§2.3).
     /// With DDIO disabled the write goes straight to DRAM.
-    pub fn retire(&mut self, now: Time, id: BufferId, bytes: u64) -> (Time, Vec<BufferId>) {
+    pub fn retire(&mut self, now: Time, id: BufferId, bytes: u64) -> Time {
+        self.evicted.clear();
         if self.params.ddio_enabled {
-            let evicted = self.llc.insert(id, bytes);
-            if evicted.is_empty() {
-                (now + self.params.llc_hit_latency, evicted)
-            } else {
-                let mut done = now + self.params.llc_hit_latency;
-                for _ in &evicted {
-                    done = done.max(self.dram.request(now, bytes));
-                }
-                (done, evicted)
+            self.llc.insert(id, bytes, &mut self.evicted);
+            let mut done = now + self.params.llc_hit_latency;
+            for _ in 0..self.evicted.len() {
+                done = done.max(self.dram.request(now, bytes));
             }
+            done
         } else {
             self.llc.bypass(bytes);
-            (self.dram.request(now, bytes), Vec::new())
+            self.dram.request(now, bytes)
         }
     }
 
@@ -134,11 +135,11 @@ impl MemoryController {
                 stalled: true,
             };
         }
-        let (completion, evicted) = self.retire(now, id, bytes);
+        let completion = self.retire(now, id, bytes);
         self.retire_done(bytes);
         DmaWriteOutcome {
             completion,
-            evicted,
+            evicted: self.evicted.clone(),
             stalled: false,
         }
     }

@@ -1,15 +1,15 @@
-//! The [`LlcModel`] seam: one interface over the two LLC models.
+//! The [`Llc`] seam: one interface over the two LLC models.
 //!
 //! The memory controller (and everything above it: DMA retire, CPU
 //! consume, HostCC's miss signal, telemetry, scope) talks to the LLC only
-//! through this surface, so the pool model and the set-associative model
-//! are interchangeable per run. The pool stays the default — existing
-//! golden CSVs are byte-identical by construction because default-config
-//! runs never construct a [`SetAssocLlc`].
+//! through this enum's inherent methods, so the pool model and the
+//! set-associative model are interchangeable per run. The pool stays the
+//! default — existing golden CSVs are byte-identical by construction
+//! because default-config runs never construct a [`SetAssocLlc`].
 //!
 //! [`Llc`] is an enum rather than a boxed trait object so the controller
-//! keeps `Debug`, avoids an allocation per machine, and lets call sites
-//! use inherent methods without importing the trait.
+//! keeps `Debug`, avoids an allocation per machine, and dispatches with
+//! one `match` per call.
 
 use crate::llc::{BufferId, IoLlc, LlcStats};
 use crate::params::{LlcModelKind, MemParams};
@@ -26,105 +26,6 @@ pub struct WayOccupancy {
     pub io_lines: Vec<u64>,
     /// Resident application (antagonist) lines per way.
     pub app_lines: Vec<u64>,
-}
-
-/// Behaviour every LLC model provides to the memory controller.
-pub trait LlcModel {
-    /// DDIO insertion of a DMA-written buffer; returns the buffers evicted
-    /// to make room (their consumers will miss to DRAM).
-    fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId>;
-    /// CPU lookup: hit (refreshing recency) or miss. `true` on hit.
-    fn lookup(&mut self, id: BufferId) -> bool;
-    /// Remove a consumed buffer; no-op if already evicted.
-    fn consume(&mut self, id: BufferId);
-    /// A DMA write routed around the cache (DDIO disabled).
-    fn bypass(&mut self, bytes: u64);
-    /// Whether a buffer is resident (no statistics side effects).
-    fn contains(&self, id: BufferId) -> bool;
-    /// Bytes of I/O buffers currently resident.
-    fn occupancy(&self) -> u64;
-    /// Capacity of the DDIO-reachable partition in bytes.
-    fn capacity(&self) -> u64;
-    /// Number of resident I/O buffers.
-    fn resident_count(&self) -> usize;
-    /// Read-only statistics.
-    fn stats(&self) -> &LlcStats;
-    /// Reset statistics (keeps contents).
-    fn clear_stats(&mut self);
-    /// Per-way occupancy, for models with way geometry; `None` for the
-    /// flat pool.
-    fn way_occupancy(&self) -> Option<WayOccupancy> {
-        None
-    }
-}
-
-impl LlcModel for IoLlc {
-    fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
-        IoLlc::insert(self, id, bytes)
-    }
-    fn lookup(&mut self, id: BufferId) -> bool {
-        IoLlc::lookup(self, id)
-    }
-    fn consume(&mut self, id: BufferId) {
-        IoLlc::consume(self, id);
-    }
-    fn bypass(&mut self, bytes: u64) {
-        IoLlc::bypass(self, bytes);
-    }
-    fn contains(&self, id: BufferId) -> bool {
-        IoLlc::contains(self, id)
-    }
-    fn occupancy(&self) -> u64 {
-        IoLlc::occupancy(self)
-    }
-    fn capacity(&self) -> u64 {
-        IoLlc::capacity(self)
-    }
-    fn resident_count(&self) -> usize {
-        IoLlc::resident_count(self)
-    }
-    fn stats(&self) -> &LlcStats {
-        IoLlc::stats(self)
-    }
-    fn clear_stats(&mut self) {
-        IoLlc::clear_stats(self);
-    }
-}
-
-impl LlcModel for SetAssocLlc {
-    fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
-        SetAssocLlc::insert(self, id, bytes)
-    }
-    fn lookup(&mut self, id: BufferId) -> bool {
-        SetAssocLlc::lookup(self, id)
-    }
-    fn consume(&mut self, id: BufferId) {
-        SetAssocLlc::consume(self, id);
-    }
-    fn bypass(&mut self, bytes: u64) {
-        SetAssocLlc::bypass(self, bytes);
-    }
-    fn contains(&self, id: BufferId) -> bool {
-        SetAssocLlc::contains(self, id)
-    }
-    fn occupancy(&self) -> u64 {
-        SetAssocLlc::occupancy(self)
-    }
-    fn capacity(&self) -> u64 {
-        SetAssocLlc::capacity(self)
-    }
-    fn resident_count(&self) -> usize {
-        SetAssocLlc::resident_count(self)
-    }
-    fn stats(&self) -> &LlcStats {
-        SetAssocLlc::stats(self)
-    }
-    fn clear_stats(&mut self) {
-        SetAssocLlc::clear_stats(self);
-    }
-    fn way_occupancy(&self) -> Option<WayOccupancy> {
-        Some(SetAssocLlc::way_occupancy(self))
-    }
 }
 
 /// The LLC model selected by [`MemParams::llc_model`].
@@ -157,43 +58,44 @@ impl Llc {
         }
     }
 
-    /// See [`LlcModel::insert`].
-    pub fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
-        delegate!(self, insert, id, bytes)
+    /// DDIO insertion of a DMA-written buffer; appends the buffers evicted
+    /// to make room to `evicted` (their consumers will miss to DRAM).
+    pub fn insert(&mut self, id: BufferId, bytes: u64, evicted: &mut Vec<BufferId>) {
+        delegate!(self, insert, id, bytes, evicted)
     }
-    /// See [`LlcModel::lookup`].
+    /// CPU lookup: hit (refreshing recency) or miss. `true` on hit.
     pub fn lookup(&mut self, id: BufferId) -> bool {
         delegate!(self, lookup, id)
     }
-    /// See [`LlcModel::consume`].
+    /// Remove a consumed buffer; no-op if already evicted.
     pub fn consume(&mut self, id: BufferId) {
         delegate!(self, consume, id)
     }
-    /// See [`LlcModel::bypass`].
+    /// A DMA write routed around the cache (DDIO disabled).
     pub fn bypass(&mut self, bytes: u64) {
         delegate!(self, bypass, bytes)
     }
-    /// See [`LlcModel::contains`].
+    /// Whether a buffer is resident (no statistics side effects).
     pub fn contains(&self, id: BufferId) -> bool {
         delegate!(self, contains, id)
     }
-    /// See [`LlcModel::occupancy`].
+    /// Bytes of I/O buffers currently resident.
     pub fn occupancy(&self) -> u64 {
         delegate!(self, occupancy)
     }
-    /// See [`LlcModel::capacity`].
+    /// Capacity of the DDIO-reachable partition in bytes.
     pub fn capacity(&self) -> u64 {
         delegate!(self, capacity)
     }
-    /// See [`LlcModel::resident_count`].
+    /// Number of resident I/O buffers.
     pub fn resident_count(&self) -> usize {
         delegate!(self, resident_count)
     }
-    /// See [`LlcModel::stats`].
+    /// Read-only statistics.
     pub fn stats(&self) -> &LlcStats {
         delegate!(self, stats)
     }
-    /// See [`LlcModel::clear_stats`].
+    /// Reset statistics (keeps contents).
     pub fn clear_stats(&mut self) {
         delegate!(self, clear_stats)
     }
@@ -209,42 +111,6 @@ impl Llc {
     /// over-capacity SLO.
     pub fn over_capacity_bytes(&self) -> u64 {
         self.occupancy().saturating_sub(self.capacity())
-    }
-}
-
-impl LlcModel for Llc {
-    fn insert(&mut self, id: BufferId, bytes: u64) -> Vec<BufferId> {
-        Llc::insert(self, id, bytes)
-    }
-    fn lookup(&mut self, id: BufferId) -> bool {
-        Llc::lookup(self, id)
-    }
-    fn consume(&mut self, id: BufferId) {
-        Llc::consume(self, id);
-    }
-    fn bypass(&mut self, bytes: u64) {
-        Llc::bypass(self, bytes);
-    }
-    fn contains(&self, id: BufferId) -> bool {
-        Llc::contains(self, id)
-    }
-    fn occupancy(&self) -> u64 {
-        Llc::occupancy(self)
-    }
-    fn capacity(&self) -> u64 {
-        Llc::capacity(self)
-    }
-    fn resident_count(&self) -> usize {
-        Llc::resident_count(self)
-    }
-    fn stats(&self) -> &LlcStats {
-        Llc::stats(self)
-    }
-    fn clear_stats(&mut self) {
-        Llc::clear_stats(self);
-    }
-    fn way_occupancy(&self) -> Option<WayOccupancy> {
-        Llc::way_occupancy(self)
     }
 }
 
@@ -290,7 +156,9 @@ mod tests {
     #[test]
     fn dispatch_reaches_the_live_model() {
         let mut llc = Llc::from_params(&setassoc_params());
-        llc.insert(BufferId(1), 2048);
+        let mut evicted = Vec::new();
+        llc.insert(BufferId(1), 2048, &mut evicted);
+        assert!(evicted.is_empty());
         assert!(llc.contains(BufferId(1)));
         assert_eq!(llc.occupancy(), 2048);
         llc.bypass(64);
@@ -305,7 +173,7 @@ mod tests {
     fn over_capacity_bytes_tracks_excess() {
         let mut llc = Llc::Pool(IoLlc::new(1024));
         assert_eq!(llc.over_capacity_bytes(), 0);
-        llc.insert(BufferId(1), 4096);
+        llc.insert(BufferId(1), 4096, &mut Vec::new());
         assert_eq!(llc.over_capacity_bytes(), 3072);
     }
 }

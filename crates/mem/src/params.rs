@@ -175,6 +175,20 @@ impl MemParams {
                 self.llc_total_bytes, self.total_ways, LINE_BYTES
             ));
         }
+        // `SetAssocLlc` packs way indices into `u16` and slot indices
+        // into `u32` codes.
+        if self.llc_model == LlcModelKind::SetAssoc
+            && (self.total_ways > u32::from(u16::MAX)
+                || self.sets().saturating_mul(u64::from(self.total_ways))
+                    >= u64::from(u32::MAX - 1))
+        {
+            return Err(format!(
+                "mem: set-associative geometry too large ({} sets of {} ways; \
+                 at most 65535 ways and 2^32 - 2 lines)",
+                self.sets(),
+                self.total_ways
+            ));
+        }
         Ok(())
     }
 }
@@ -256,6 +270,20 @@ mod tests {
         let p = MemParams {
             llc_model: LlcModelKind::SetAssoc,
             llc_total_bytes: 64,
+            ..base()
+        };
+        assert!(p.validate().is_err());
+        let p = MemParams {
+            llc_model: LlcModelKind::SetAssoc,
+            llc_total_bytes: 1 << 40,
+            ..base()
+        };
+        assert!(p.validate().is_err());
+        let p = MemParams {
+            llc_model: LlcModelKind::SetAssoc,
+            total_ways: 70_000,
+            ddio_ways: 6,
+            llc_total_bytes: 1 << 30,
             ..base()
         };
         assert!(p.validate().is_err());

@@ -59,8 +59,9 @@ proptest! {
         for op in &ops {
             match *op {
                 Op::Insert(id, bytes) => {
-                    let mut ep = pool.insert(BufferId(id), bytes);
-                    let mut es = sa.insert(BufferId(id), bytes);
+                    let (mut ep, mut es) = (Vec::new(), Vec::new());
+                    pool.insert(BufferId(id), bytes, &mut ep);
+                    sa.insert(BufferId(id), bytes, &mut es);
                     // Same victims; order may differ (the pool walks global
                     // LRU order, the way model evicts per line placed).
                     ep.sort();
@@ -109,7 +110,10 @@ proptest! {
         let mut pool = IoLlc::new(capacity);
         let mut sa = degenerate(capacity);
         let bytes = capacity + extra_lines * LINE_BYTES;
-        prop_assert_eq!(pool.insert(BufferId(1), bytes), sa.insert(BufferId(1), bytes));
+        let (mut ep, mut es) = (Vec::new(), Vec::new());
+        pool.insert(BufferId(1), bytes, &mut ep);
+        sa.insert(BufferId(1), bytes, &mut es);
+        prop_assert_eq!(ep, es);
         prop_assert_eq!(pool.stats().over_capacity_events, 1u64);
         prop_assert_eq!(sa.stats().over_capacity_events, 1u64);
         prop_assert_eq!(pool.occupancy(), sa.occupancy());

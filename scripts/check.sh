@@ -155,12 +155,17 @@ echo "bench smoke passed"
 
 echo "==> ddio smoke (way sweep + set-associative telemetry)"
 # The sweep's shapes (baseline monotonicity, CEIO flatness) are gated by
-# in-module tests above; here we check the operator surface: the
-# experiment emits a well-formed BENCH_ddio.json (archived like the
-# engine numbers), and a set-associative ceio-inspect run exports the
-# per-way occupancy gauges and the DDIO-disabled bypass counter.
+# in-module tests above; here we check the operator surface: the quick
+# sweep's stdout matches its golden byte for byte (every miss rate,
+# goodput, P99 and drop count of the way sweep), the experiment emits a
+# well-formed BENCH_ddio.json (archived like the engine numbers), and a
+# set-associative ceio-inspect run exports the per-way occupancy gauges
+# and the DDIO-disabled bypass counter. An intended change to the sweep's
+# output regenerates the golden from this command's stdout.
 (cd "$smoke_dir" && "$OLDPWD/target/release/ceio-experiments" --quick --jobs 2 ddio \
     > ddio-stdout.txt)
+diff -u crates/bench/tests/golden/ddio_quick_stdout.txt "$smoke_dir/ddio-stdout.txt" \
+    || { echo "ddio smoke: quick ddio output diverged from its golden"; exit 1; }
 grep -q '"cold_start_rows"' "$smoke_dir/BENCH_ddio.json" \
     || { echo "ddio smoke: BENCH_ddio.json missing or malformed"; exit 1; }
 cp "$smoke_dir/BENCH_ddio.json" BENCH_ddio.json

@@ -17,13 +17,13 @@
 //!
 //! and review the diff like any other code change.
 
+mod common;
+
 use ceio::apps::EchoApp;
 use ceio::core::{CeioConfig, CeioPolicy};
 use ceio::host::{run_to_report, HostConfig, Machine, RunReport};
 use ceio::net::{FlowClass, FlowId, FlowSpec, Scenario};
-use ceio::sim::{Bandwidth, Duration, Rng, Time, TimeSeries};
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use ceio::sim::{Bandwidth, Duration, Rng, Time};
 
 /// Registered flows (QPs); all exist from t = 0.
 const FLOWS: u32 = 256;
@@ -96,74 +96,10 @@ fn run_churn() -> (RunReport, u64) {
     (report, sim.events_processed())
 }
 
-fn render_series(out: &mut String, s: &TimeSeries) {
-    let _ = writeln!(out, "series {}", s.name);
-    for (at, v) in &s.points {
-        let _ = writeln!(out, "  {} {v:?}", at.0);
-    }
-}
-
-/// Every scalar and series of the report, one per line, exact.
-fn render(r: &RunReport, events: u64) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "policy {}", r.policy);
-    let _ = writeln!(out, "events {events}");
-    let _ = writeln!(out, "measured_ns {}", r.measured.as_nanos());
-    for (name, v) in [
-        ("involved_mpps", r.involved_mpps),
-        ("involved_gbps", r.involved_gbps),
-        ("bypass_gbps", r.bypass_gbps),
-        ("bypass_mpps", r.bypass_mpps),
-        ("llc_miss_rate", r.llc_miss_rate),
-        ("fast_path_gbps", r.fast_path_gbps),
-        ("slow_path_gbps", r.slow_path_gbps),
-    ] {
-        let _ = writeln!(out, "{name} {v:?}");
-    }
-    for (name, v) in [
-        ("dropped", r.dropped),
-        ("slow_path_pkts", r.slow_path_pkts),
-        ("ordering_stalls", r.ordering_stalls),
-    ] {
-        let _ = writeln!(out, "{name} {v}");
-    }
-    for (name, h) in [
-        ("involved_latency", &r.involved_latency),
-        ("fast_latency", &r.fast_latency),
-        ("slow_latency", &r.slow_latency),
-    ] {
-        let _ = writeln!(
-            out,
-            "{name} count={} p50={} p99={} p999={} max={} sum={}",
-            h.count(),
-            h.p50(),
-            h.p99(),
-            h.p999(),
-            h.max(),
-            h.sum()
-        );
-    }
-    for s in [
-        &r.involved_mpps_series,
-        &r.bypass_gbps_series,
-        &r.miss_series,
-        &r.fast_gbps_series,
-        &r.slow_gbps_series,
-        &r.drops_series,
-    ] {
-        render_series(&mut out, s);
-    }
-    out
-}
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/churn256_ceio.txt")
-}
-
 #[test]
 fn churn256_ceio_matches_golden_and_is_deterministic() {
     let (report, events) = run_churn();
-    let actual = render(&report, events);
+    let actual = common::render(&report, events);
     assert!(
         report.involved_mpps > 0.0 && report.slow_path_pkts > 0,
         "the churn run must deliver on both paths"
@@ -171,31 +107,9 @@ fn churn256_ceio_matches_golden_and_is_deterministic() {
     let (again, again_events) = run_churn();
     assert_eq!(
         actual,
-        render(&again, again_events),
+        common::render(&again, again_events),
         "two runs of the same configuration must agree byte-for-byte"
     );
 
-    let path = golden_path();
-    if std::env::var_os("CEIO_GOLDEN_REGEN").is_some() {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).expect("create golden dir");
-        }
-        std::fs::write(&path, &actual).expect("write golden file");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read golden file {}: {e}\n\
-             (run with CEIO_GOLDEN_REGEN=1 to create it)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual,
-        expected,
-        "the many-flow churn run diverged from {}\n\
-         (if the change is intentional, regenerate with CEIO_GOLDEN_REGEN=1 \
-         and review the diff)",
-        path.display()
-    );
+    common::assert_matches_golden("churn256_ceio.txt", &actual, "the many-flow churn run");
 }
