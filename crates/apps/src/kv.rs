@@ -62,6 +62,9 @@ pub struct KvStats {
 pub struct KvStore {
     cfg: KvConfig,
     table: HashMap<u64, Bytes>,
+    /// Every value a PUT can write, by fill byte: a PUT stores a shared
+    /// handle instead of allocating its bytes.
+    put_values: Vec<Bytes>,
     stats: KvStats,
 }
 
@@ -82,9 +85,13 @@ impl KvStore {
         for k in 0..cfg.entries {
             table.insert(k, value.clone());
         }
+        let put_values = (0..=u8::MAX)
+            .map(|b| Bytes::from(vec![b; cfg.value_bytes]))
+            .collect();
         KvStore {
             cfg,
             table,
+            put_values,
             stats: KvStats::default(),
         }
     }
@@ -133,7 +140,7 @@ impl Application for KvStore {
             }
         } else {
             self.stats.puts += 1;
-            let value = Bytes::from(vec![(h & 0xFF) as u8; self.cfg.value_bytes]);
+            let value = self.put_values[(h & 0xFF) as usize].clone();
             self.table.insert(key, value);
             64 // ack
         };

@@ -131,6 +131,10 @@ pub struct CeioPolicy {
     rr_order: Vec<FlowId>,
     rr_cursor: usize,
     next_rr: Time,
+    /// Scratch lists of the controller poll (flows swept, flows still
+    /// active), reused so a poll does not allocate.
+    poll_ids: Vec<FlowId>,
+    poll_active: Vec<FlowId>,
     stats: CeioStats,
     mode: Mode,
     calm_polls: u32,
@@ -155,6 +159,8 @@ impl CeioPolicy {
             rr_order: Vec::new(),
             rr_cursor: 0,
             next_rr: Time::ZERO + cfg.rr_reactivate_interval,
+            poll_ids: Vec::new(),
+            poll_active: Vec::new(),
             cfg,
             stats: CeioStats::default(),
             mode: Mode::Normal,
@@ -635,11 +641,14 @@ impl IoPolicy for CeioPolicy {
         self.deliver_matured_releases(now);
         // Reclaim count is already folded into `CreditStats::lease_reclaims`.
         let _ = self.credits.expire_leases();
-        let ids: Vec<FlowId> = self.ctl.keys().collect();
-        let mut active: Vec<FlowId> = Vec::new();
+        let mut ids = std::mem::take(&mut self.poll_ids);
+        ids.clear();
+        ids.extend(self.ctl.keys());
+        let mut active = std::mem::take(&mut self.poll_active);
+        active.clear();
         let mut to_mark: Vec<FlowId> = Vec::new();
         let mut to_reclaim: Vec<FlowId> = Vec::new();
-        for flow in ids {
+        for &flow in &ids {
             // Poll the steering counter (the hardware credit-consumption
             // signal the controller tracks, Fig. 6).
             let _hits = st.rmt.poll_hits(&flow);
@@ -725,7 +734,7 @@ impl IoPolicy for CeioPolicy {
             if self.credits.free_pool() > 0 {
                 // Ascending either way: both come from `ctl`'s id order.
                 if active.is_empty() {
-                    active = self.ctl.keys().collect();
+                    active.extend(self.ctl.keys());
                 }
                 self.credits.grant_evenly(&active);
             }
@@ -794,6 +803,8 @@ impl IoPolicy for CeioPolicy {
             self.check_store_pressure(st, now);
         }
         self.rejections_at_last_poll = rejections;
+        self.poll_ids = ids;
+        self.poll_active = active;
         debug_assert!(self.credits.conserved(), "credit conservation violated");
     }
 

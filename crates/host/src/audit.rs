@@ -15,7 +15,10 @@
 //! * **phase-exclusivity** — no undelivered packet (host-ready or parked
 //!   on the NIC) has an arrival sequence *below* the delivery pointer:
 //!   that would mean a later packet overtook it, the exact reordering the
-//!   §4.2 phase-exclusivity rule exists to prevent.
+//!   §4.2 phase-exclusivity rule exists to prevent. The host-ready side is
+//!   a ring indexed from its base, so the check also asserts that base
+//!   *is* the delivery pointer: the structural guarantee is audited, not
+//!   assumed.
 //! * **llc-io-occupancy** — DDIO-resident I/O bytes never exceed the
 //!   reachable LLC partition capacity (what credit admission guarantees).
 //! * **iio-occupancy** — staged bytes never exceed the IIO buffer.
@@ -107,11 +110,24 @@ impl HostAuditor {
             "phase-exclusivity",
             |st: &HostState| {
                 for (id, f) in &st.flows {
-                    let overtaken_ready = f
-                        .ready
-                        .keys()
-                        .next()
-                        .is_some_and(|&seq| seq < f.next_deliver_seq);
+                    // The ring is indexed from its base; if that ever
+                    // drifted from the delivery pointer, the check below
+                    // would be reading the wrong sequence numbers.
+                    if f.ready.base() != f.next_deliver_seq {
+                        return Err((
+                            format!(
+                                "flow {}: delivery ring base is not the delivery pointer",
+                                id.0
+                            ),
+                            vec![
+                                ("flow", id.0.to_string()),
+                                ("next_deliver_seq", f.next_deliver_seq.to_string()),
+                                ("ring_base", f.ready.base().to_string()),
+                            ],
+                        ));
+                    }
+                    let min_ready = f.ready.first().map(|(seq, _)| seq);
+                    let overtaken_ready = min_ready.is_some_and(|seq| seq < f.next_deliver_seq);
                     let overtaken_slow = f
                         .slow_queue
                         .iter()
@@ -128,10 +144,8 @@ impl HostAuditor {
                                 ("next_deliver_seq", f.next_deliver_seq.to_string()),
                                 (
                                     "min_ready_seq",
-                                    f.ready
-                                        .keys()
-                                        .next()
-                                        .map(u64::to_string)
+                                    min_ready
+                                        .map(|seq| seq.to_string())
                                         .unwrap_or_else(|| "-".into()),
                                 ),
                                 (

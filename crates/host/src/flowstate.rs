@@ -6,11 +6,17 @@
 //! releases the next-in-sequence packet to the application — the software
 //! ring contract of §4.2 without per-packet sorting (in-order arrivals pop
 //! in O(1); a gap simply waits).
+//!
+//! The delivery buffer is a [`ReadyRing`]: sequence numbers are dense and
+//! delivery only ever takes the lowest, so slot `i` simply holds sequence
+//! `base + i`. Retiring a packet writes its slot and delivering pops the
+//! front — no ordered map, and no allocation once the ring has grown to
+//! the flow's widest reorder window.
 
 use ceio_mem::BufferId;
 use ceio_net::{Dctcp, FlowClass, FlowSpec, Packet, TrafficGen};
 use ceio_sim::{Histogram, Time, TimerToken};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A packet retired into host memory, awaiting in-order delivery.
 #[derive(Debug, Clone, Copy)]
@@ -34,6 +40,98 @@ pub struct SlowPkt {
     pub nic_seq: u64,
     /// Instant the on-NIC memory write completes (drainable after this).
     pub ready_at_nic: Time,
+}
+
+/// A flow's ordered delivery buffer: slot `i` holds the packet with
+/// sequence number `base + i`, or `None` while that packet is still in
+/// flight (a gap). `base` is the next sequence to deliver, so the
+/// deliverable prefix starts at the front.
+#[derive(Debug, Default)]
+pub struct ReadyRing {
+    slots: VecDeque<Option<ReadyPkt>>,
+    base: u64,
+    len: usize,
+}
+
+impl ReadyRing {
+    /// Sequence number of the front slot (the next one to deliver).
+    #[inline]
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// Number of packets present.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no packet is present (gaps do not count).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The packet with sequence `seq`, if present.
+    #[inline]
+    pub fn get(&self, seq: u64) -> Option<&ReadyPkt> {
+        let i = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        self.slots.get(i)?.as_ref()
+    }
+
+    /// Place packet `seq`, which must not lie below `base` (stale packets
+    /// are filtered by [`FlowState::is_stale`] first) and must be absent.
+    pub(crate) fn insert(&mut self, seq: u64, rp: ReadyPkt) {
+        debug_assert!(
+            seq >= self.base,
+            "invariant: stale packets never enter the ring"
+        );
+        let i = (seq - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        debug_assert!(
+            self.slots[i].is_none(),
+            "invariant: sequence numbers are unique"
+        );
+        self.slots[i] = Some(rp);
+        self.len += 1;
+    }
+
+    /// The front packet, if present (`None` on an empty ring or a gap).
+    #[inline]
+    pub fn front(&self) -> Option<&ReadyPkt> {
+        self.slots.front()?.as_ref()
+    }
+
+    /// Remove the front packet and advance `base` past it; `None` (and no
+    /// change) when the front is a gap or the ring is empty.
+    pub(crate) fn pop_front(&mut self) -> Option<ReadyPkt> {
+        let rp = self.slots.front().copied().flatten()?;
+        self.slots.pop_front();
+        self.base += 1;
+        self.len -= 1;
+        Some(rp)
+    }
+
+    /// The lowest-sequence packet present, with its sequence number.
+    pub fn first(&self) -> Option<(u64, &ReadyPkt)> {
+        if self.len == 0 {
+            return None;
+        }
+        self.slots
+            .iter()
+            .zip(self.base..)
+            .find_map(|(slot, seq)| slot.as_ref().map(|rp| (seq, rp)))
+    }
+
+    /// Append every present packet to `out` in sequence order, empty the
+    /// ring and restart it at `base` (teardown skips the pointer forward).
+    pub(crate) fn drain_into(&mut self, out: &mut Vec<ReadyPkt>, base: u64) {
+        out.extend(self.slots.drain(..).flatten());
+        self.base = base;
+        self.len = 0;
+    }
 }
 
 /// Per-flow counters exported to reports.
@@ -85,8 +183,9 @@ pub struct FlowState {
     /// Exclusive upper bound of message-complete delivery (one past the
     /// last in-order `msg_last` packet seen by the scan).
     msg_boundary: u64,
-    /// Retired packets keyed by sequence number (ordered delivery buffer).
-    pub ready: BTreeMap<u64, ReadyPkt>,
+    /// Retired packets by sequence number (ordered delivery buffer); its
+    /// base always equals `next_deliver_seq`.
+    pub ready: ReadyRing,
     /// Host RX ring occupancy (entries retired, not yet consumed).
     pub ring_occupancy: u32,
     /// Descriptors reserved for packets in DMA flight toward the ring.
@@ -131,7 +230,7 @@ impl FlowState {
             next_deliver_seq: 0,
             scan_next: 0,
             msg_boundary: 0,
-            ready: BTreeMap::new(),
+            ready: ReadyRing::default(),
             ring_occupancy: 0,
             ring_inflight: 0,
             ring_capacity,
@@ -180,12 +279,13 @@ impl FlowState {
     /// policy models through the `msgs` count of its batch-consumed hook,
     /// not to buffer recycling.
     ///
-    /// Returns the packets removed from the buffer, in delivery order.
-    pub fn take_deliverable(&mut self, now: Time, max: usize) -> Vec<ReadyPkt> {
+    /// Appends the packets removed from the buffer to `out`, in delivery
+    /// order (the caller owns and reuses `out`).
+    pub fn take_deliverable(&mut self, now: Time, max: usize, out: &mut Vec<ReadyPkt>) {
         // Advance the boundary scan over the contiguous in-order prefix.
         // Packets are inserted into `ready` at the instant they become
         // readable, so a present entry is always readable at a later poll.
-        while let Some(rp) = self.ready.get(&self.scan_next) {
+        while let Some(rp) = self.ready.get(self.scan_next) {
             if rp.pkt.msg_last {
                 self.msg_boundary = self.scan_next + 1;
             }
@@ -193,12 +293,12 @@ impl FlowState {
         }
         let limit = self.scan_next;
 
-        let mut out: Vec<ReadyPkt> = Vec::new();
-        while out.len() < max && self.next_deliver_seq < limit {
-            match self.ready.get(&self.next_deliver_seq) {
+        let mut taken = 0;
+        while taken < max && self.next_deliver_seq < limit {
+            match self.ready.front() {
                 Some(rp) if rp.ready <= now => {
                     let rp = *rp;
-                    self.ready.remove(&self.next_deliver_seq);
+                    self.ready.pop_front();
                     self.next_deliver_seq += 1;
                     // Slow-path packets never held a fast-ring descriptor.
                     if !rp.via_slow {
@@ -206,29 +306,29 @@ impl FlowState {
                         self.ring_occupancy = self.ring_occupancy.saturating_sub(1);
                     }
                     out.push(rp);
+                    taken += 1;
                 }
                 _ => break,
             }
         }
-        out
     }
 
-    /// Connection teardown: clear all undelivered backlog. Returns the
-    /// ready packets (whose host buffers the caller must free) and the
-    /// total bytes parked in on-NIC memory (to discard there). Packets
-    /// still in DMA flight are skipped on arrival because their sequence
-    /// numbers fall below the advanced delivery pointer.
-    pub fn teardown_backlog(&mut self) -> (Vec<ReadyPkt>, u64) {
-        let drained: Vec<ReadyPkt> = self.ready.values().copied().collect();
-        self.accounted += drained.len() as u64 + self.slow_queue.len() as u64;
-        self.ready.clear();
+    /// Connection teardown: clear all undelivered backlog. Appends the
+    /// ready packets (whose host buffers the caller must free) to
+    /// `drained` and returns the total bytes parked in on-NIC memory (to
+    /// discard there). Packets still in DMA flight are skipped on arrival
+    /// because their sequence numbers fall below the advanced delivery
+    /// pointer.
+    pub fn teardown_backlog(&mut self, drained: &mut Vec<ReadyPkt>) -> u64 {
+        self.accounted += self.ready.len() as u64 + self.slow_queue.len() as u64;
+        self.ready.drain_into(drained, self.nic_seq_next);
         self.next_deliver_seq = self.nic_seq_next;
         self.scan_next = self.nic_seq_next;
         self.msg_boundary = self.nic_seq_next;
         self.ring_occupancy = 0;
         let parked: u64 = self.slow_queue.iter().map(|sp| sp.pkt.bytes).sum();
         self.slow_queue.clear();
-        (drained, parked)
+        parked
     }
 
     /// Whether a retired packet belongs to backlog discarded at teardown.
@@ -292,17 +392,24 @@ mod tests {
         f.ring_occupancy += 1;
     }
 
+    /// `take_deliverable` into a fresh batch.
+    fn take(f: &mut FlowState, now: Time, max: usize) -> Vec<ReadyPkt> {
+        let mut out = Vec::new();
+        f.take_deliverable(now, max, &mut out);
+        out
+    }
+
     #[test]
     fn delivers_in_sequence_prefix_only() {
         let mut f = mk_flow(FlowClass::CpuInvolved);
         insert(&mut f, ready_pkt(0, 0, 0, false, Time(10)));
         insert(&mut f, ready_pkt(2, 0, 2, false, Time(10))); // gap at 1
-        let got = f.take_deliverable(Time(100), 16);
+        let got = take(&mut f, Time(100), 16);
         assert_eq!(got.len(), 1);
         assert_eq!(f.next_deliver_seq, 1);
         // Fill the gap: both deliverable now.
         insert(&mut f, ready_pkt(1, 0, 1, false, Time(20)));
-        let got = f.take_deliverable(Time(100), 16);
+        let got = take(&mut f, Time(100), 16);
         assert_eq!(got.len(), 2);
         assert_eq!(f.next_deliver_seq, 3);
     }
@@ -311,8 +418,8 @@ mod tests {
     fn not_ready_packets_wait() {
         let mut f = mk_flow(FlowClass::CpuInvolved);
         insert(&mut f, ready_pkt(0, 0, 0, false, Time(1_000)));
-        assert!(f.take_deliverable(Time(10), 16).is_empty());
-        assert_eq!(f.take_deliverable(Time(1_000), 16).len(), 1);
+        assert!(take(&mut f, Time(10), 16).is_empty());
+        assert_eq!(take(&mut f, Time(1_000), 16).len(), 1);
     }
 
     #[test]
@@ -321,8 +428,8 @@ mod tests {
         for i in 0..40 {
             insert(&mut f, ready_pkt(i, 0, i as u32, false, Time(0)));
         }
-        assert_eq!(f.take_deliverable(Time(1), 32).len(), 32);
-        assert_eq!(f.take_deliverable(Time(1), 32).len(), 8);
+        assert_eq!(take(&mut f, Time(1), 32).len(), 32);
+        assert_eq!(take(&mut f, Time(1), 32).len(), 8);
     }
 
     #[test]
@@ -334,9 +441,9 @@ mod tests {
         for i in 0..3 {
             insert(&mut f, ready_pkt(i, 0, i as u32, false, Time(0)));
         }
-        assert_eq!(f.take_deliverable(Time(1), 16).len(), 3);
+        assert_eq!(take(&mut f, Time(1), 16).len(), 3);
         insert(&mut f, ready_pkt(3, 0, 3, true, Time(0)));
-        let got = f.take_deliverable(Time(1), 16);
+        let got = take(&mut f, Time(1), 16);
         assert_eq!(got.len(), 1);
         assert!(got[0].pkt.msg_last);
     }
@@ -349,7 +456,7 @@ mod tests {
         insert(&mut f, ready_pkt(0, 0, 0, false, Time(0)));
         assert_eq!(f.ring_free(), 64 - 4 - 1);
         assert_eq!(f.ring_outstanding(), 5);
-        f.take_deliverable(Time(1), 1);
+        take(&mut f, Time(1), 1);
         assert_eq!(f.ring_occupancy, 0);
     }
 
@@ -370,5 +477,171 @@ mod tests {
         f.slow_fetch_inflight = 0;
         insert(&mut f, ready_pkt(0, 0, 0, false, Time(0)));
         assert!(f.has_pending_work());
+    }
+
+    fn seqs(v: &[ReadyPkt]) -> Vec<u64> {
+        v.iter().map(|rp| rp.pkt.id.0).collect()
+    }
+
+    #[test]
+    fn ready_ring_tracks_gaps_and_its_base() {
+        let mut f = mk_flow(FlowClass::CpuInvolved);
+        for _ in 0..6 {
+            f.take_seq();
+        }
+        // Out of order, with gaps at 0 and 3.
+        for seq in [4, 2, 1, 5] {
+            insert(&mut f, ready_pkt(seq, 0, 0, false, Time(0)));
+        }
+        assert_eq!(f.ready.len(), 4);
+        assert!(f.ready.front().is_none(), "0 is a gap");
+        assert_eq!(f.ready.first().map(|(seq, _)| seq), Some(1));
+        assert!(take(&mut f, Time(1), 16).is_empty());
+        insert(&mut f, ready_pkt(0, 0, 0, false, Time(0)));
+        assert_eq!(seqs(&take(&mut f, Time(1), 16)), vec![0, 1, 2]);
+        assert_eq!((f.ready.base(), f.next_deliver_seq), (3, 3));
+        assert_eq!(f.ready.get(4).map(|rp| rp.pkt.id.0), Some(4));
+        assert!(f.ready.get(2).is_none() && f.ready.get(3).is_none());
+        // Teardown drains what is present, in order, and skips the base
+        // past everything assigned; the gap's packet arrives stale.
+        let mut drained = Vec::new();
+        f.teardown_backlog(&mut drained);
+        assert_eq!(seqs(&drained), vec![4, 5]);
+        assert_eq!((f.ready.base(), f.next_deliver_seq), (6, 6));
+        assert!(f.ready.is_empty() && f.ready.first().is_none());
+        assert!(f.is_stale(3));
+        assert!(!f.is_stale(6));
+        insert(&mut f, ready_pkt(7, 0, 0, false, Time(0)));
+        assert_eq!(f.ready.first().map(|(seq, _)| seq), Some(7));
+    }
+
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The delivery buffer as it was before the ring: an ordered map with
+    /// the same boundary scan, delivery loop and teardown.
+    #[derive(Default)]
+    struct MapModel {
+        ready: BTreeMap<u64, ReadyPkt>,
+        next_deliver_seq: u64,
+        scan_next: u64,
+        nic_seq_next: u64,
+        accounted: u64,
+    }
+
+    impl MapModel {
+        fn take(&mut self, now: Time, max: usize) -> Vec<ReadyPkt> {
+            while self.ready.contains_key(&self.scan_next) {
+                self.scan_next += 1;
+            }
+            let mut out = Vec::new();
+            while out.len() < max && self.next_deliver_seq < self.scan_next {
+                match self.ready.get(&self.next_deliver_seq) {
+                    Some(rp) if rp.ready <= now => {
+                        out.push(*rp);
+                        self.ready.remove(&self.next_deliver_seq);
+                        self.next_deliver_seq += 1;
+                    }
+                    _ => break,
+                }
+            }
+            out
+        }
+
+        fn teardown(&mut self) -> Vec<ReadyPkt> {
+            let drained: Vec<ReadyPkt> = self.ready.values().copied().collect();
+            self.accounted += drained.len() as u64;
+            self.ready.clear();
+            self.next_deliver_seq = self.nic_seq_next;
+            self.scan_next = self.nic_seq_next;
+            drained
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// The NIC assigns the next sequence number (packet in flight).
+        Assign,
+        /// An in-flight packet (picked by index) retires, readable after
+        /// the given delay.
+        Retire(usize, u64),
+        /// Time advances.
+        Advance(u64),
+        /// A driver poll takes at most this many packets.
+        Take(usize),
+        /// Connection teardown.
+        Teardown,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            4 => Just(Op::Assign),
+            4 => (0usize..64, 0u64..4).prop_map(|(i, d)| Op::Retire(i, d)),
+            1 => (1u64..4).prop_map(Op::Advance),
+            2 => (1usize..8).prop_map(Op::Take),
+            1 => Just(Op::Teardown),
+        ]
+    }
+
+    proptest! {
+        /// Arbitrary retire orders, gaps, partial batches, readiness
+        /// delays, teardowns and stale arrivals: the ring delivers exactly
+        /// what the ordered map delivered, and its base tracks
+        /// `next_deliver_seq`.
+        #[test]
+        fn ready_ring_matches_ordered_map(ops in prop::collection::vec(op_strategy(), 1..300)) {
+            let mut f = mk_flow(FlowClass::CpuInvolved);
+            let mut m = MapModel::default();
+            let mut in_flight: Vec<u64> = Vec::new();
+            let mut now = Time(0);
+            for op in &ops {
+                match *op {
+                    Op::Assign => {
+                        in_flight.push(f.take_seq());
+                        m.nic_seq_next += 1;
+                    }
+                    Op::Retire(i, delay) => {
+                        if in_flight.is_empty() {
+                            continue;
+                        }
+                        let seq = in_flight.swap_remove(i % in_flight.len());
+                        let stale = seq < m.next_deliver_seq;
+                        prop_assert_eq!(f.is_stale(seq), stale);
+                        if stale {
+                            f.accounted += 1;
+                            m.accounted += 1;
+                        } else {
+                            let rp = ready_pkt(seq, 0, 0, false, Time(now.0 + delay));
+                            insert(&mut f, rp);
+                            m.ready.insert(seq, rp);
+                        }
+                    }
+                    Op::Advance(d) => now = Time(now.0 + d),
+                    Op::Take(max) => {
+                        prop_assert_eq!(seqs(&take(&mut f, now, max)), seqs(&m.take(now, max)));
+                    }
+                    Op::Teardown => {
+                        let mut drained = Vec::new();
+                        f.teardown_backlog(&mut drained);
+                        prop_assert_eq!(seqs(&drained), seqs(&m.teardown()));
+                        prop_assert_eq!(f.ring_occupancy, 0);
+                    }
+                }
+                prop_assert_eq!(f.next_deliver_seq, m.next_deliver_seq);
+                prop_assert_eq!(f.ready.base(), f.next_deliver_seq);
+                prop_assert_eq!(f.accounted, m.accounted);
+                prop_assert_eq!(f.ready.len(), m.ready.len());
+                prop_assert_eq!(f.ready.is_empty(), m.ready.is_empty());
+                prop_assert_eq!(
+                    f.ready.first().map(|(seq, rp)| (seq, rp.pkt.id.0)),
+                    m.ready.first_key_value().map(|(&seq, rp)| (seq, rp.pkt.id.0))
+                );
+                prop_assert_eq!(f.ready.front().map(|rp| rp.pkt.id.0), m.ready.get(&m.next_deliver_seq).map(|rp| rp.pkt.id.0));
+                for seq in 0..m.nic_seq_next + 2 {
+                    prop_assert_eq!(f.ready.get(seq).map(|rp| rp.pkt.id.0), m.ready.get(&seq).map(|rp| rp.pkt.id.0));
+                }
+                prop_assert_eq!(u64::from(f.ring_occupancy), m.ready.len() as u64);
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Consumption handlers: driver polls and in-order application delivery
 //! (`CorePoll`), plus the slow-path DMA-read fetch they drive.
 
-use crate::flowstate::{ReadyPkt, SlowPkt};
+use crate::flowstate::SlowPkt;
 use crate::policy::IoPolicy;
 use crate::rxq::PendingDma;
 use ceio_chaos::FaultSite;
@@ -165,11 +165,11 @@ impl<P: IoPolicy> Machine<P> {
         // retires flows, so it cannot change during the scan.
         let start = self.st.core_rr[core] % n;
         let batch_size = self.st.cfg.cpu.batch_size;
-        let mut selected: Option<(FlowId, Vec<ReadyPkt>, FlowClass)> = None;
+        let mut selected: Option<(FlowId, FlowClass)> = None;
         let mut sync_stall: Option<Time> = None;
         for k in 0..n {
             let flow_id = self.st.core_flows[core][(start + k) % n];
-            let (batch, gap_stall, class) = {
+            let (gap_stall, class) = {
                 let f = self.st.flows.get_mut(&flow_id).expect(
                     "invariant: the retain above keeps only ids present in `self.st.flows`",
                 );
@@ -182,15 +182,15 @@ impl<P: IoPolicy> Machine<P> {
                 if f.ready.is_empty() && f.slow_queue.is_empty() {
                     continue;
                 }
-                let batch = f.take_deliverable(now, batch_size);
-                let gap_stall = batch.is_empty()
+                f.take_deliverable(now, batch_size, &mut self.batch);
+                let gap_stall = self.batch.is_empty()
                     && f.ready
-                        .first_key_value()
-                        .map(|(&seq, rp)| seq != f.next_deliver_seq && rp.ready <= now)
+                        .first()
+                        .map(|(seq, rp)| seq != f.next_deliver_seq && rp.ready <= now)
                         .unwrap_or(false);
-                (batch, gap_stall, f.spec.class)
+                (gap_stall, f.spec.class)
             };
-            if !batch.is_empty() {
+            if !self.batch.is_empty() {
                 // async_recv() overlap: kick the next slow-path fetch
                 // while this batch is processed (§4.2).
                 let drain = self.policy.on_driver_poll(&mut self.st, now, flow_id);
@@ -201,7 +201,7 @@ impl<P: IoPolicy> Machine<P> {
                     }
                 }
                 self.st.core_rr[core] = (start + k + 1) % n;
-                selected = Some((flow_id, batch, class));
+                selected = Some((flow_id, class));
                 break;
             }
             if gap_stall {
@@ -221,7 +221,7 @@ impl<P: IoPolicy> Machine<P> {
             }
         }
 
-        let Some((flow_id, batch, class)) = selected else {
+        let Some((flow_id, class)) = selected else {
             self.st.cores[core].count_poll(false);
             let next = match sync_stall {
                 Some(t) => t.max(now + self.st.cfg.cpu.poll_interval),
@@ -236,7 +236,19 @@ impl<P: IoPolicy> Machine<P> {
         let mut fast = 0u32;
         let mut slow = 0u32;
         let mut msgs = 0u32;
-        for rp in &batch {
+        // One probe each for the batch's flow, app and core: the loop
+        // below borrows them alongside the other (disjoint) state fields.
+        let st = &mut self.st;
+        let app = st
+            .apps
+            .get_mut(&flow_id)
+            .expect("invariant: every flow gets an app at Machine::build time");
+        let f = st
+            .flows
+            .get_mut(&flow_id)
+            .expect("invariant: flow presence was checked earlier in this handler");
+        let cpu = &mut st.cores[core];
+        for rp in self.batch.drain(..) {
             // DRAM traffic of the whole batch is issued at poll start (the
             // driver prefetches descriptors/buffers ahead of the consuming
             // loop); the core still stalls for whatever has not arrived by
@@ -253,59 +265,44 @@ impl<P: IoPolicy> Machine<P> {
             // read just filled and prefetches them, so only DRAM bandwidth
             // and queueing are charged, not the demand-miss latency floor.
             let mem_stall = if rp.via_slow {
-                let ready = self.st.memctrl.read_uncached(now, rp.pkt.bytes);
+                let ready = st.memctrl.read_uncached(now, rp.pkt.bytes);
                 ready.since(t)
             } else {
-                let read = self.st.memctrl.cpu_read(now, rp.buf, rp.pkt.bytes);
+                let read = st.memctrl.cpu_read(now, rp.buf, rp.pkt.bytes);
                 if read.hit {
                     read.ready.since(t)
                 } else {
-                    read.ready.since(t).max(self.st.cfg.mem.dram_base_latency)
+                    read.ready.since(t).max(st.cfg.mem.dram_base_latency)
                 }
             };
-            let work = self
-                .st
-                .apps
-                .get_mut(&flow_id)
-                .expect("invariant: every flow gets an app at Machine::build time")
-                .process(&rp.pkt);
-            let mut dur = self.st.cfg.cpu.per_packet_overhead + mem_stall + work.cpu;
+            let work = app.process(&rp.pkt);
+            let mut dur = st.cfg.cpu.per_packet_overhead + mem_stall + work.cpu;
             if work.copy_bytes > 0 {
-                self.st.memctrl.app_copy(now, work.copy_bytes);
-                dur += self.st.cfg.copy_time(work.copy_bytes);
+                st.memctrl.app_copy(now, work.copy_bytes);
+                dur += st.cfg.copy_time(work.copy_bytes);
             }
-            t = self.st.cores[core].run(t, dur);
-            self.st.memctrl.consume(rp.buf);
-            self.st.cores[core].count_packet();
+            t = cpu.run(t, dur);
+            st.memctrl.consume(rp.buf);
+            cpu.count_packet();
             if rp.pkt.msg_last {
                 msgs += 1;
             }
-            self.st
-                .trace_stage(Some(flow_id.0), Stage::RingWait, now.since(rp.ready));
-            if rp.via_slow {
+            let latency = t.since(rp.pkt.sent_at);
+            let kind = if rp.via_slow {
                 slow += 1;
-                self.st
-                    .slow_latency
-                    .record_duration(t.since(rp.pkt.sent_at));
-                self.st
-                    .trace_event(t, Some(flow_id.0), TraceKind::SlowDrain, rp.pkt.bytes);
+                st.slow_latency.record_duration(latency);
+                TraceKind::SlowDrain
             } else {
                 fast += 1;
-                self.st
-                    .fast_latency
-                    .record_duration(t.since(rp.pkt.sent_at));
-                self.st
-                    .trace_event(t, Some(flow_id.0), TraceKind::Delivery, rp.pkt.bytes);
+                st.fast_latency.record_duration(latency);
+                TraceKind::Delivery
+            };
+            if let Some(tr) = st.trace.as_mut() {
+                tr.stage(Some(flow_id.0), Stage::RingWait, now.since(rp.ready));
+                tr.event(t, Some(flow_id.0), kind, rp.pkt.bytes);
             }
-            self.st
-                .meas
-                .record_delivery(class, rp.pkt.bytes, rp.via_slow);
-            let f = self
-                .st
-                .flows
-                .get_mut(&flow_id)
-                .expect("invariant: flow presence was checked earlier in this handler");
-            f.latency.record_duration(t.since(rp.pkt.sent_at));
+            st.meas.record_delivery(class, rp.pkt.bytes, rp.via_slow);
+            f.latency.record_duration(latency);
             f.accounted += 1;
             f.counters.consumed_pkts += 1;
             f.counters.consumed_bytes += rp.pkt.bytes;

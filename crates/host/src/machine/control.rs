@@ -152,8 +152,8 @@ impl<P: IoPolicy> Machine<P> {
             if let Some(tok) = f.emit_timer.take() {
                 queue.cancel(tok);
             }
-            let (drained, parked_bytes) = f.teardown_backlog();
-            for rp in drained {
+            let parked_bytes = f.teardown_backlog(&mut self.batch);
+            for rp in self.batch.drain(..) {
                 self.st.memctrl.consume(rp.buf);
             }
             self.st.onboard.discard(parked_bytes);

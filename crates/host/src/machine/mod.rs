@@ -42,7 +42,7 @@ pub use control::{arm_chaos, FailoverStats, WATCHDOG_INTERVAL};
 pub use dma::RecoveryStats;
 
 use crate::config::HostConfig;
-use crate::flowstate::FlowState;
+use crate::flowstate::{FlowState, ReadyPkt};
 use crate::measure::{Measurements, RunReport};
 use crate::policy::IoPolicy;
 use crate::rxq::{PendingDma, RxQueue};
@@ -395,6 +395,10 @@ pub struct Machine<P: IoPolicy> {
     pub st: HostState,
     /// The I/O management policy.
     pub policy: P,
+    /// Scratch batch of packets leaving a flow's delivery buffer (a core
+    /// poll's deliverable batch, or a teardown's discarded backlog);
+    /// empty between events and reused so delivery never allocates.
+    batch: Vec<ReadyPkt>,
     /// The invariant auditor, when audit mode is armed (see
     /// [`crate::audit`]). `None` costs one pointer-width test per event.
     #[cfg(feature = "audit")]
@@ -469,6 +473,7 @@ impl<P: IoPolicy> Machine<P> {
         let mut sim = Simulation::new(Machine {
             st,
             policy,
+            batch: Vec::new(),
             // Arm the auditor at build time when the runtime switch is on
             // (`CEIO_AUDIT=1` or `ceio_audit::set_enabled(true)`); tests
             // can also arm it explicitly via [`Machine::arm_audit`].

@@ -35,17 +35,31 @@ pub struct HostTrace {
     pub cap: usize,
 }
 
+impl HostTrace {
+    /// Record one machine-level trace event.
+    #[inline]
+    pub(crate) fn event(&mut self, at: Time, flow: Option<u32>, kind: TraceKind, value: u64) {
+        self.ring.push(TraceEvent {
+            at,
+            flow,
+            kind,
+            value,
+        });
+    }
+
+    /// Record one path-stage duration into the breakdown.
+    #[inline]
+    pub(crate) fn stage(&mut self, flow: Option<u32>, stage: Stage, d: Duration) {
+        self.breakdown.record(flow, stage, d);
+    }
+}
+
 impl HostState {
     /// Record one machine-level trace event (no-op until armed).
     #[inline]
     pub(crate) fn trace_event(&mut self, at: Time, flow: Option<u32>, kind: TraceKind, value: u64) {
         if let Some(tr) = self.trace.as_mut() {
-            tr.ring.push(TraceEvent {
-                at,
-                flow,
-                kind,
-                value,
-            });
+            tr.event(at, flow, kind, value);
         }
     }
 
@@ -54,7 +68,7 @@ impl HostState {
     #[inline]
     pub(crate) fn trace_stage(&mut self, flow: Option<u32>, stage: Stage, d: Duration) {
         if let Some(tr) = self.trace.as_mut() {
-            tr.breakdown.record(flow, stage, d);
+            tr.stage(flow, stage, d);
         }
     }
 }

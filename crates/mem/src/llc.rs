@@ -7,10 +7,23 @@
 //! misses on them (§2.2). A set-indexed model adds nothing for 2 KB buffers
 //! that span 32 sets each, so we model the partition as a single LRU pool of
 //! variable-size buffer entries with byte-accurate occupancy.
-
-use std::collections::BTreeMap;
+//!
+//! Layout. Every DMA insert, CPU read and consume sits on the per-packet
+//! path, so each is a few array reads and no allocation once warm:
+//!
+//! * resident buffers live in a slab of nodes; a freed node is reused by
+//!   the next insertion;
+//! * the `BufferId -> node` index is the open-addressed table shared with
+//!   the set-associative model (never iterated, so its bucket layout
+//!   cannot reach any output);
+//! * recency is an intrusive doubly-linked list over node indices, oldest
+//!   at the head. Every insertion and hit takes the next recency sequence
+//!   and moves its node to the tail, so list order *is* sequence order and
+//!   the LRU victim is always the head.
 
 use serde::Serialize;
+
+use crate::setassoc::{IdIndex, EMPTY};
 
 /// Identifier of one I/O buffer resident in (or evicted from) the LLC.
 ///
@@ -61,10 +74,17 @@ impl LlcStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    seq: u64,
+/// One resident buffer: a slab node linked into the recency list.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    id: BufferId,
     bytes: u64,
+    /// Recency sequence of the last insertion or hit.
+    seq: u64,
+    /// Next-older node, or [`EMPTY`] at the head.
+    prev: u32,
+    /// Next-newer node, or [`EMPTY`] at the tail.
+    next: u32,
 }
 
 /// The DDIO-reachable LLC partition: an LRU pool of I/O buffer entries.
@@ -73,11 +93,15 @@ pub struct IoLlc {
     capacity_bytes: u64,
     occupancy_bytes: u64,
     next_seq: u64,
-    /// BufferId -> entry metadata (ordered, so any future iteration is
-    /// deterministic; lookups are O(log n) on a map that stays small).
-    entries: BTreeMap<BufferId, Entry>,
-    /// LRU order: recency sequence -> BufferId (smallest = oldest).
-    order: BTreeMap<u64, BufferId>,
+    /// Slab of resident buffers; freed nodes are listed in `free`.
+    nodes: Vec<Node>,
+    free: Vec<u32>,
+    /// `BufferId -> node` for every resident buffer.
+    index: IdIndex,
+    /// Least recently written/used node ([`EMPTY`] when nothing resides).
+    head: u32,
+    /// Most recently written/used node.
+    tail: u32,
     stats: LlcStats,
 }
 
@@ -88,8 +112,11 @@ impl IoLlc {
             capacity_bytes,
             occupancy_bytes: 0,
             next_seq: 0,
-            entries: BTreeMap::new(),
-            order: BTreeMap::new(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            index: IdIndex::new(),
+            head: EMPTY,
+            tail: EMPTY,
             stats: LlcStats::default(),
         }
     }
@@ -109,7 +136,7 @@ impl IoLlc {
     /// Number of resident buffers.
     #[inline]
     pub fn resident_count(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Read-only statistics.
@@ -121,7 +148,76 @@ impl IoLlc {
     /// Whether a buffer is currently resident (no statistics side effects).
     #[inline]
     pub fn contains(&self, id: BufferId) -> bool {
-        self.entries.contains_key(&id)
+        self.index.get(id).is_some()
+    }
+
+    /// Detach node `k` from the recency list.
+    #[inline]
+    fn unlink(&mut self, k: u32) {
+        let Node { prev, next, .. } = self.nodes[k as usize];
+        match prev {
+            EMPTY => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            EMPTY => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Give node `k` the next recency sequence and append it at the tail.
+    #[inline]
+    fn push_newest(&mut self, k: u32) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let tail = self.tail;
+        let node = &mut self.nodes[k as usize];
+        node.seq = seq;
+        node.prev = tail;
+        node.next = EMPTY;
+        match tail {
+            EMPTY => self.head = k,
+            t => self.nodes[t as usize].next = k,
+        }
+        self.tail = k;
+    }
+
+    /// Drop resident node `k`: unlink and unindex it, free its bytes and
+    /// return it to the slab.
+    #[inline]
+    fn release(&mut self, k: u32) -> Node {
+        self.unlink(k);
+        let node = self.nodes[k as usize];
+        self.index.remove(node.id);
+        self.occupancy_bytes -= node.bytes;
+        self.free.push(k);
+        node
+    }
+
+    /// A node for a newly resident `id`, indexed but not yet linked.
+    fn alloc_node(&mut self, id: BufferId) -> u32 {
+        let node = Node {
+            id,
+            bytes: 0,
+            seq: 0,
+            prev: EMPTY,
+            next: EMPTY,
+        };
+        let k = match self.free.pop() {
+            Some(k) => {
+                self.nodes[k as usize] = node;
+                k
+            }
+            None => {
+                self.nodes.push(node);
+                // Room for every node to be free at once, so releases
+                // never grow the free list.
+                self.free.reserve(self.nodes.len());
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        self.index.insert(id, k);
+        k
     }
 
     /// DDIO insertion of a DMA-written buffer. Appends the buffers evicted
@@ -132,37 +228,30 @@ impl IoLlc {
     /// size (a buffer reused for a new packet).
     pub fn insert(&mut self, id: BufferId, bytes: u64, evicted: &mut Vec<BufferId>) {
         self.stats.insertions += 1;
-        if let Some(old) = self.entries.remove(&id) {
-            self.order.remove(&old.seq);
-            self.occupancy_bytes -= old.bytes;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.insert(id, Entry { seq, bytes });
-        self.order.insert(seq, id);
+        let k = match self.index.get(id) {
+            Some(k) => {
+                self.unlink(k);
+                self.occupancy_bytes -= self.nodes[k as usize].bytes;
+                k
+            }
+            None => self.alloc_node(id),
+        };
+        self.nodes[k as usize].bytes = bytes;
+        self.push_newest(k);
         self.occupancy_bytes += bytes;
 
-        while self.occupancy_bytes > self.capacity_bytes && self.entries.len() > 1 {
+        while self.occupancy_bytes > self.capacity_bytes && self.index.len() > 1 {
             // Evict the least recently written/used entry, but never the one
             // just inserted (DDIO always lands the incoming line).
-            let (&oldest_seq, &victim) = self
-                .order
-                .iter()
-                .next()
-                .expect("invariant: occupancy > 0 implies `order` is non-empty");
-            if victim == id {
+            let victim = self.head;
+            if victim == k {
                 break;
             }
-            self.order.remove(&oldest_seq);
-            let e = self
-                .entries
-                .remove(&victim)
-                .expect("invariant: `order` and `entries` index the same set of buffers");
-            self.occupancy_bytes -= e.bytes;
+            let node = self.release(victim);
             self.stats.evictions += 1;
-            self.stats.evicted_bytes += e.bytes;
-            self.stats.eviction_age_sum += self.next_seq - oldest_seq;
-            evicted.push(victim);
+            self.stats.evicted_bytes += node.bytes;
+            self.stats.eviction_age_sum += self.next_seq - node.seq;
+            evicted.push(node.id);
         }
         if self.occupancy_bytes > self.capacity_bytes {
             // Nothing left to evict around the incoming buffer: it alone
@@ -175,18 +264,11 @@ impl IoLlc {
     /// CPU lookup of a buffer: records a hit (refreshing recency) or a miss.
     /// Returns `true` on hit.
     pub fn lookup(&mut self, id: BufferId) -> bool {
-        match self.entries.get(&id).map(|e| e.seq) {
-            Some(seq) => {
+        match self.index.get(id) {
+            Some(k) => {
                 self.stats.hits += 1;
-                // Refresh recency.
-                self.order.remove(&seq);
-                let new_seq = self.next_seq;
-                self.next_seq += 1;
-                self.order.insert(new_seq, id);
-                self.entries
-                    .get_mut(&id)
-                    .expect("invariant: entry was present in the `Some` arm above")
-                    .seq = new_seq;
+                self.unlink(k);
+                self.push_newest(k);
                 true
             }
             None => {
@@ -199,9 +281,8 @@ impl IoLlc {
     /// Remove a buffer the CPU has finished consuming (ownership returned to
     /// the buffer pool). No-op if already evicted.
     pub fn consume(&mut self, id: BufferId) {
-        if let Some(e) = self.entries.remove(&id) {
-            self.order.remove(&e.seq);
-            self.occupancy_bytes -= e.bytes;
+        if let Some(k) = self.index.get(id) {
+            self.release(k);
         }
     }
 

@@ -70,8 +70,9 @@ pub struct SetAssocParams {
     pub app_overlap_ways: usize,
 }
 
-/// Slot code of a DDIO way that holds nothing.
-const EMPTY: u32 = u32::MAX;
+/// Slot code of a DDIO way that holds nothing; also the free-bucket and
+/// null-link marker of the pool model's slab.
+pub(crate) const EMPTY: u32 = u32::MAX;
 /// Slot code of a DDIO way that holds an antagonist line. Every other
 /// code is the slab index of the buffer owning the line.
 const APP: u32 = u32::MAX - 1;
@@ -107,19 +108,26 @@ fn mix(mut x: u64) -> u64 {
 /// `BufferId -> slab index`, open-addressed: linear probing from the id's
 /// mixed hash, backward-shift deletion (no tombstones), doubling past half
 /// load. Once it has grown to the peak resident count it never allocates.
+/// Shared by both LLC models' buffer slabs.
 #[derive(Debug)]
-struct IdIndex {
+pub(crate) struct IdIndex {
     /// `(id, slab index)` per bucket; index [`EMPTY`] marks a free bucket.
     buckets: Vec<(u64, u32)>,
     len: usize,
 }
 
 impl IdIndex {
-    fn new() -> IdIndex {
+    pub(crate) fn new() -> IdIndex {
         IdIndex {
             buckets: vec![(0, EMPTY); 16],
             len: 0,
         }
+    }
+
+    /// Number of ids mapped.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     #[inline]
@@ -145,12 +153,12 @@ impl IdIndex {
     }
 
     #[inline]
-    fn get(&self, id: BufferId) -> Option<u32> {
+    pub(crate) fn get(&self, id: BufferId) -> Option<u32> {
         self.find(id).ok().map(|i| self.buckets[i].1)
     }
 
     /// Map an absent `id` to slab index `k`.
-    fn insert(&mut self, id: BufferId, k: u32) {
+    pub(crate) fn insert(&mut self, id: BufferId, k: u32) {
         if (self.len + 1) * 2 > self.buckets.len() {
             let grown = vec![(0, EMPTY); self.buckets.len() * 2];
             let old = std::mem::replace(&mut self.buckets, grown);
@@ -170,7 +178,7 @@ impl IdIndex {
 
     /// Unmap `id`, shifting later members of its probe run back so every
     /// remaining id stays reachable from its home bucket.
-    fn remove(&mut self, id: BufferId) {
+    pub(crate) fn remove(&mut self, id: BufferId) {
         let Ok(mut hole) = self.find(id) else {
             return;
         };

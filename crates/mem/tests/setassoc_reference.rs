@@ -73,7 +73,11 @@ fn stats_fields(s: &LlcStats) -> [u64; 9] {
 }
 
 /// Every observable of both models must agree.
-fn assert_same(new: &SetAssocLlc, old: &oracle::SetAssocLlc, at: &Op) -> Result<(), TestCaseError> {
+fn assert_same(
+    new: &SetAssocLlc,
+    old: &oracle::setassoc::SetAssocLlc,
+    at: &Op,
+) -> Result<(), TestCaseError> {
     prop_assert_eq!(
         stats_fields(new.stats()),
         stats_fields(old.stats()),
@@ -122,7 +126,7 @@ proptest! {
     ) {
         let p = geometry(sets, total_ways, ddio, overlap, app);
         let mut new = SetAssocLlc::new(p.clone());
-        let mut old = oracle::SetAssocLlc::new(p);
+        let mut old = oracle::setassoc::SetAssocLlc::new(p);
         prop_assert_eq!(new.capacity(), old.capacity());
         // One buffer for the whole trace, as the memory controller keeps.
         let mut evicted = Vec::new();
@@ -164,7 +168,7 @@ proptest! {
     ) {
         let p = geometry(sets, total_ways, ddio, overlap, app);
         let mut new = SetAssocLlc::new(p.clone());
-        let mut old = oracle::SetAssocLlc::new(p);
+        let mut old = oracle::setassoc::SetAssocLlc::new(p);
         let mut evicted = Vec::new();
         for (i, &id) in ids.iter().enumerate() {
             let op = Op::Insert(id, LINE_BYTES);

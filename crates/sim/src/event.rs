@@ -123,12 +123,10 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// Levels needed so `LEVELS * LEVEL_BITS >= 64`: the wheel spans the whole
 /// `u64` nanosecond timeline with no overflow list.
 const LEVELS: usize = 11;
-/// Largest allocation (in keys) a higher-level bucket keeps after it
-/// cascades. Sparse periodic timers then re-fill their buckets without
-/// allocating, while a bucket that once absorbed a burst returns that
-/// memory instead of holding it for the rest of the run (the 640 buckets
-/// above level 0 would otherwise each keep their peak).
-const KEEP_KEYS: usize = 16;
+/// End-of-chain marker of a bucket's chunk list.
+const NIL: u32 = u32::MAX;
+/// Keys per chunk of a bucket's chain.
+const CHUNK_KEYS: usize = 16;
 
 /// Mask of the low `bits` bits, saturating at the full word.
 #[inline]
@@ -140,6 +138,16 @@ fn low_mask(bits: u32) -> u64 {
     }
 }
 
+/// A run of up to [`CHUNK_KEYS`] keys of one bucket, chained to the
+/// bucket's older chunks.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    keys: [Key; CHUNK_KEYS],
+    len: u32,
+    /// Next (older) chunk of the same bucket, or [`NIL`].
+    next: u32,
+}
+
 /// Hierarchical timing wheel over absolute nanosecond times.
 ///
 /// Level `l` buckets keys by bits `[6l, 6(l+1))` of their dispatch time.
@@ -149,10 +157,21 @@ fn low_mask(bits: u32) -> u64 {
 /// the cursor to the drained window's base before rescanning, so slots whose
 /// index is below the old cursor position are still found after a
 /// higher-level bucket is redistributed.
+///
+/// Each bucket is a chain of fixed-size chunks drawn from one shared slab,
+/// and a drained chunk returns to the slab at once. Keys of a bucket stay
+/// contiguous in runs of [`CHUNK_KEYS`], while the wheel's memory is a
+/// single high-water mark (roughly the most keys ever pending, in chunks)
+/// rather than one per bucket: once the slab has grown to it, scheduling
+/// and popping never allocate, however bursts move between buckets.
 #[derive(Debug)]
 struct Wheel {
-    /// `LEVELS * SLOTS` buckets, row-major by level.
-    buckets: Vec<Vec<Key>>,
+    /// Newest chunk of each of the `LEVELS * SLOTS` buckets, row-major by
+    /// level ([`NIL`] when empty).
+    heads: Vec<u32>,
+    /// Slab of chunks; freed chunks are listed in `free`.
+    chunks: Vec<Chunk>,
+    free: Vec<u32>,
     /// Per-level slot occupancy bitmap.
     occupied: [u64; LEVELS],
     /// Cursor: all wheel-resident keys have `at.0 > cur`; keys at or before
@@ -160,15 +179,20 @@ struct Wheel {
     cur: u64,
     /// Imminent keys in dispatch order (ascending `(at, seq)`).
     ready: VecDeque<Key>,
+    /// Scratch for sorting a drained level-0 slot by `seq`.
+    slot_keys: Vec<Key>,
 }
 
 impl Wheel {
     fn new() -> Self {
         Wheel {
-            buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; LEVELS * SLOTS],
+            chunks: Vec::new(),
+            free: Vec::new(),
             occupied: [0; LEVELS],
             cur: 0,
             ready: VecDeque::new(),
+            slot_keys: Vec::new(),
         }
     }
 
@@ -187,8 +211,44 @@ impl Wheel {
         let diff = at ^ self.cur;
         let level = ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize;
         let slot = ((at >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.buckets[level * SLOTS + slot].push(key);
+        let b = level * SLOTS + slot;
+        let mut c = self.heads[b];
+        if c == NIL || self.chunks[c as usize].len as usize == CHUNK_KEYS {
+            c = self.alloc_chunk(c);
+            self.heads[b] = c;
+        }
+        let chunk = &mut self.chunks[c as usize];
+        chunk.keys[chunk.len as usize] = key;
+        chunk.len += 1;
         self.occupied[level] |= 1u64 << slot;
+    }
+
+    /// An empty chunk chained in front of `next`.
+    fn alloc_chunk(&mut self, next: u32) -> u32 {
+        match self.free.pop() {
+            Some(c) => {
+                let chunk = &mut self.chunks[c as usize];
+                chunk.len = 0;
+                chunk.next = next;
+                c
+            }
+            None => {
+                let blank = Key {
+                    at: Time::ZERO,
+                    seq: 0,
+                    idx: 0,
+                };
+                self.chunks.push(Chunk {
+                    keys: [blank; CHUNK_KEYS],
+                    len: 0,
+                    next,
+                });
+                // Room for every chunk to be free at once, so frees never
+                // grow the free list.
+                self.free.reserve(self.chunks.len());
+                (self.chunks.len() - 1) as u32
+            }
+        }
     }
 
     /// Refill `ready` from the wheel until it holds the minimum key (or the
@@ -201,14 +261,20 @@ impl Wheel {
                 // drain it in seq order.
                 let slot = self.occupied[0].trailing_zeros() as usize;
                 self.occupied[0] &= !(1u64 << slot);
-                let mut batch = std::mem::take(&mut self.buckets[slot]);
-                batch.sort_unstable_by_key(|k| k.seq);
-                debug_assert!(batch.windows(2).all(|w| w[0].at == w[1].at));
-                if let Some(first) = batch.first() {
+                let mut c = std::mem::replace(&mut self.heads[slot], NIL);
+                while c != NIL {
+                    let chunk = &self.chunks[c as usize];
+                    self.slot_keys
+                        .extend_from_slice(&chunk.keys[..chunk.len as usize]);
+                    self.free.push(c);
+                    c = chunk.next;
+                }
+                self.slot_keys.sort_unstable_by_key(|k| k.seq);
+                debug_assert!(self.slot_keys.windows(2).all(|w| w[0].at == w[1].at));
+                if let Some(first) = self.slot_keys.first() {
                     self.cur = first.at.0;
                 }
-                self.ready.extend(batch.drain(..));
-                self.buckets[slot] = batch; // hand the allocation back
+                self.ready.extend(self.slot_keys.drain(..));
                 return;
             }
             let Some(level) = (1..LEVELS).find(|&l| self.occupied[l] != 0) else {
@@ -216,22 +282,23 @@ impl Wheel {
             };
             // Redistribute the earliest occupied bucket one level down,
             // re-anchoring the cursor to the bucket's window base first so
-            // the re-pushed keys spread over the full child range.
+            // the re-pushed keys spread over the full child range. Keys
+            // agree with the cursor on this level's bits, so none lands
+            // back in this bucket. Each chunk is freed before its keys are
+            // re-pushed, so the next chunk they need can be that one.
             let slot = self.occupied[level].trailing_zeros() as usize;
             self.occupied[level] &= !(1u64 << slot);
-            let mut batch = std::mem::take(&mut self.buckets[level * SLOTS + slot]);
+            let mut c = std::mem::replace(&mut self.heads[level * SLOTS + slot], NIL);
             let lb = LEVEL_BITS * level as u32;
             self.cur = (self.cur & !low_mask(lb + LEVEL_BITS)) | ((slot as u64) << lb);
-            for key in batch.drain(..) {
-                debug_assert!(key.at.0 >= self.cur);
-                self.push(key);
-            }
-            // Re-pushed keys agree with the cursor on this level's bits, so
-            // none lands back in this bucket: a small allocation goes back
-            // to it, and steady-state cascades of sparse timers never
-            // allocate.
-            if batch.capacity() <= KEEP_KEYS {
-                self.buckets[level * SLOTS + slot] = batch;
+            while c != NIL {
+                let Chunk { keys, len, next } = self.chunks[c as usize];
+                self.free.push(c);
+                for &key in &keys[..len as usize] {
+                    debug_assert!(key.at.0 >= self.cur);
+                    self.push(key);
+                }
+                c = next;
             }
         }
     }
@@ -249,9 +316,16 @@ impl Wheel {
     /// Remove every key (in no particular order), for backend conversion.
     fn drain_all(&mut self) -> Vec<Key> {
         let mut out: Vec<Key> = self.ready.drain(..).collect();
-        for bucket in &mut self.buckets {
-            out.append(bucket);
+        for head in &mut self.heads {
+            let mut c = std::mem::replace(head, NIL);
+            while c != NIL {
+                let chunk = &self.chunks[c as usize];
+                out.extend_from_slice(&chunk.keys[..chunk.len as usize]);
+                c = chunk.next;
+            }
         }
+        self.chunks.clear();
+        self.free.clear();
         self.occupied = [0; LEVELS];
         out
     }

@@ -153,19 +153,26 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --
 tail -n 1 "$smoke_dir/bench-smoke.txt" > bench-smoke.json
 echo "bench smoke passed"
 
-echo "==> ddio smoke (way sweep + set-associative telemetry)"
-# The sweep's shapes (baseline monotonicity, CEIO flatness) are gated by
-# in-module tests above; here we check the operator surface: the quick
-# sweep's stdout matches its golden byte for byte (every miss rate,
-# goodput, P99 and drop count of the way sweep), the experiment emits a
-# well-formed BENCH_ddio.json (archived like the engine numbers), and a
-# set-associative ceio-inspect run exports the per-way occupancy gauges
-# and the DDIO-disabled bypass counter. An intended change to the sweep's
-# output regenerates the golden from this command's stdout.
-(cd "$smoke_dir" && "$OLDPWD/target/release/ceio-experiments" --quick --jobs 2 ddio \
-    > ddio-stdout.txt)
-diff -u crates/bench/tests/golden/ddio_quick_stdout.txt "$smoke_dir/ddio-stdout.txt" \
-    || { echo "ddio smoke: quick ddio output diverged from its golden"; exit 1; }
+echo "==> paper-suite goldens + ddio smoke (quick stdout of every figure, set-associative telemetry)"
+# Every deterministic ceio-experiments target (all but `engine`, which
+# prints wall-clock numbers) runs in quick mode, and its stdout must match
+# crates/bench/tests/golden/quick/<name>.txt byte for byte: every miss
+# rate, goodput, P99 and drop count of every paper figure. The release
+# binary takes ~15-20 s for the lot; the debug binary would take ~130 s,
+# which is why this lane is not part of `cargo test`. An intended change
+# to a figure regenerates its golden by redirecting
+# `ceio-experiments --quick <name>` stdout into the file.
+# The ddio sweep's shapes (baseline monotonicity, CEIO flatness) are gated
+# by in-module tests above; this lane also checks that it emits a
+# well-formed BENCH_ddio.json (archived like the engine numbers), and that
+# a set-associative ceio-inspect run exports the per-way occupancy gauges
+# and the DDIO-disabled bypass counter.
+golden_targets="fig04 fig09 fig10 fig11 fig12 table2 table3 table4 limited queues ddio failover ablations sensitivity"
+(cd "$smoke_dir" && "$OLDPWD/target/release/ceio-experiments" --quick --jobs 2 $golden_targets \
+    > quick-stdout.txt)
+for t in $golden_targets; do cat "crates/bench/tests/golden/quick/$t.txt"; done > "$smoke_dir/quick-golden.txt"
+diff -u "$smoke_dir/quick-golden.txt" "$smoke_dir/quick-stdout.txt" \
+    || { echo "paper-suite goldens: quick output diverged (see crates/bench/tests/golden/quick/)"; exit 1; }
 grep -q '"cold_start_rows"' "$smoke_dir/BENCH_ddio.json" \
     || { echo "ddio smoke: BENCH_ddio.json missing or malformed"; exit 1; }
 cp "$smoke_dir/BENCH_ddio.json" BENCH_ddio.json
@@ -177,7 +184,7 @@ grep -Eq '^ceio_llc_way_io_lines\{way="0"\} [0-9]' "$smoke_dir/ddio-metrics.prom
     || { echo "ddio smoke: set-associative run exports no per-way occupancy"; exit 1; }
 grep -q '^# TYPE ceio_llc_bypass_total counter' "$smoke_dir/ddio-metrics.prom" \
     || { echo "ddio smoke: bypass counter missing from export"; exit 1; }
-echo "ddio smoke passed"
+echo "paper-suite goldens + ddio smoke passed"
 
 echo "==> failover smoke (queue-flap plan, 4 queues)"
 # Reuses the ceio-inspect built above. The canned queue-flap
