@@ -12,7 +12,7 @@
 use ceio_core::{CeioConfig, CeioPolicy};
 use ceio_cpu::{AppWork, Application};
 use ceio_host::{run_to_report, AppFactory, HostConfig, IoPolicy, Machine, UnmanagedPolicy};
-use ceio_net::{FlowClass, FlowSpec, Packet, Scenario};
+use ceio_net::{FlowClass, FlowId, FlowSpec, Packet, Scenario};
 use ceio_sim::{Bandwidth, Duration, Time};
 
 struct FixedApp(Duration);
@@ -56,6 +56,32 @@ fn mixed_scenario() -> Scenario {
             Time::ZERO,
             FlowSpec::new(i, FlowClass::CpuBypass, 2048, 512, Bandwidth::gbps(25)),
         );
+    }
+    s.build()
+}
+
+/// Many flows, few of them sending at once: every 50 µs the 8 senders
+/// move to the next 8 of 64 flows. Idle flows lose their credits to the
+/// controller, so a flow's first packets after it wakes park on the slow
+/// path while its core's scan may already have marked it idle — the
+/// hand-off the busy bits and service-list flags must get right.
+fn hopping_scenario() -> Scenario {
+    let per = Bandwidth::gbps(25);
+    let idle = Bandwidth::bytes_per_sec(0);
+    let mut s = Scenario::new();
+    for i in 0..64u32 {
+        let demand = if i < 8 { per } else { idle };
+        s.start_at(
+            Time::ZERO,
+            FlowSpec::new(i, FlowClass::CpuInvolved, 1024, 1, demand),
+        );
+    }
+    for step in 1..12u32 {
+        let at = Time::ZERO + Duration::micros(50).saturating_mul(u64::from(step));
+        for k in 0..8u32 {
+            s.set_demand_at(at, FlowId((step - 1) * 8 % 64 + k), idle);
+            s.set_demand_at(at, FlowId(step * 8 % 64 + k), per);
+        }
     }
     s.build()
 }
@@ -105,6 +131,27 @@ fn ceio_policy_audits_clean_on_mixed_classes() {
 }
 
 #[test]
+fn ceio_policy_audits_clean_under_hopping_senders() {
+    let host = HostConfig {
+        num_cores: Some(4),
+        ..cfg()
+    };
+    let policy = CeioPolicy::new(CeioConfig {
+        credit_total: host.credit_total(),
+        ..CeioConfig::default()
+    });
+    let mut sim = Machine::build(host, policy, hopping_scenario(), app_factory(200));
+    sim.model.arm_audit();
+    let report = run_to_report(&mut sim, Duration::micros(100), Duration::micros(500));
+    assert!(
+        report.slow_path_pkts > 0,
+        "woken flows must start on the slow path"
+    );
+    let audit = sim.model.audit_report().expect("auditor was armed");
+    assert!(audit.is_clean(), "hopping run:\n{audit}");
+}
+
+#[test]
 fn baseline_policy_audits_clean() {
     // The host-machine invariants (ordering, occupancy, monotone time) are
     // policy-independent; the unmanaged baseline must satisfy them too,
@@ -129,5 +176,42 @@ fn unarmed_machine_carries_no_auditor() {
     assert!(
         sim.model.audit_report().is_none(),
         "auditor must be off by default"
+    );
+}
+
+/// A missed busy-bit set — a flow with queued packets whose bit is clear,
+/// which the core poll's scan would skip as idle — must trip the
+/// `poll-scan-hints` invariant after the very next event.
+#[test]
+fn missed_busy_bit_is_caught() {
+    let host = cfg();
+    let policy = CeioPolicy::new(CeioConfig {
+        credit_total: host.credit_total(),
+        ..CeioConfig::default()
+    });
+    let mut sim = Machine::build(host, policy, thrash_scenario(), app_factory(2_000));
+    sim.model.arm_audit();
+    sim.run_until(Time::ZERO + Duration::micros(200), u64::MAX);
+    assert!(
+        sim.model.audit_report().expect("armed").is_clean(),
+        "the unmutated run must be clean"
+    );
+    let flow = sim
+        .model
+        .st
+        .flows
+        .iter()
+        .find(|(_, f)| !f.ready.is_empty() || !f.slow_queue.is_empty())
+        .map(|(id, _)| id)
+        .expect("a thrashing run has queued packets");
+    sim.model.st.clear_busy_for_tests(flow);
+    assert!(sim.step(Time::MAX), "the run has pending events");
+    let report = sim.model.audit_report().expect("armed");
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.invariant == "poll-scan-hints"),
+        "the cleared busy bit went unnoticed:\n{report}"
     );
 }

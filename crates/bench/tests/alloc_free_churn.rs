@@ -1,0 +1,113 @@
+//! Zero-allocation pin for the many-flow path.
+//!
+//! The machine is a Fig. 12-sized CEIO host: 256 always-active echo flows
+//! splitting the link, served by 16 shared polling cores. The flows join
+//! one at a time, so Algorithm 1 leaves long owed ledgers behind; each
+//! flow's fair share is a dozen credits, so a fifth of the packets park
+//! on the NIC and come back through slow-path fetches; and the controller
+//! sweeps all 256 flows every poll. After warm-up, a steady-state 1 ms
+//! window (~110k events, ~7k packets delivered) must not touch the heap:
+//! core polls, slow fetches, credit releases that repay debts and
+//! controller polls all reuse their own storage.
+//!
+//! A counting global allocator measures this. It counts per thread, so
+//! the test harness's own threads cannot pollute the figure.
+
+// `unsafe_code` is denied workspace-wide. This test needs it for one
+// thing: a `#[global_allocator]` is an `unsafe impl GlobalAlloc`. The impl
+// forwards every call unchanged to the system allocator and bumps a
+// thread-local counter; it never touches the memory it hands out.
+#![allow(unsafe_code)]
+
+use ceio_bench::workloads::{app_factory, involved_flows, AppKind};
+use ceio_bench::PolicyKind;
+use ceio_host::{HostConfig, Machine};
+use ceio_sim::{Duration, Time};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes requested from the allocator by this thread.
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count(bytes: usize) {
+    // `try_with`: allocations during thread teardown find no slot. The
+    // const-initialised `Cell` needs no allocation and no destructor, so
+    // touching it from inside the allocator cannot recurse.
+    let _ = ALLOCATED.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
+// SAFETY: every method passes its arguments unchanged to `System`, so the
+// `GlobalAlloc` contract holds exactly as it does for `System`; counting
+// reads only the layout sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`; the caller upholds the rest of `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout` (see `realloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocated() -> u64 {
+    ALLOCATED.with(Cell::get)
+}
+
+#[test]
+fn many_flow_polls_allocate_nothing() {
+    let host = HostConfig {
+        num_cores: Some(16),
+        ..HostConfig::default()
+    };
+    let link = host.net.link_bandwidth;
+    let policy = PolicyKind::Ceio.build(&host);
+    let mut sim = Machine::build(
+        host,
+        policy,
+        involved_flows(256, 512, link),
+        app_factory(AppKind::Echo),
+    );
+    // Warm-up: the payload slabs, the engine's key slab, every flow's
+    // delivery ring, slow queue and latency histogram, and the scratch
+    // batches grow to their high-water marks. The window then holds one
+    // 1 ms measurement sample, which the per-window series have room for.
+    let warm = Time::ZERO + Duration::millis(4);
+    sim.run_until(warm, u64::MAX);
+    let delivered_before = sim.model.st.meas.total_involved_pkts;
+    let slow_before = sim.model.st.meas.slow_path_pkts;
+    let events_before = sim.events_processed();
+    let before = allocated();
+    sim.run_until(warm + Duration::millis(1), u64::MAX);
+    let bytes = allocated() - before;
+    let delivered = sim.model.st.meas.total_involved_pkts - delivered_before;
+    let slow = sim.model.st.meas.slow_path_pkts - slow_before;
+    let events = sim.events_processed() - events_before;
+    assert!(
+        delivered >= 5_000 && slow >= delivered / 10,
+        "only {delivered} packets delivered ({slow} on the slow path) in the window"
+    );
+    assert_eq!(
+        bytes, 0,
+        "{events} events delivering {delivered} packets allocated {bytes} bytes"
+    );
+}

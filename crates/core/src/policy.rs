@@ -132,9 +132,12 @@ pub struct CeioPolicy {
     rr_cursor: usize,
     next_rr: Time,
     /// Scratch lists of the controller poll (flows swept, flows still
-    /// active), reused so a poll does not allocate.
+    /// active, flows to mark, flows to reclaim), reused so a poll does not
+    /// allocate.
     poll_ids: Vec<FlowId>,
     poll_active: Vec<FlowId>,
+    poll_mark: Vec<FlowId>,
+    poll_reclaim: Vec<FlowId>,
     stats: CeioStats,
     mode: Mode,
     calm_polls: u32,
@@ -161,6 +164,8 @@ impl CeioPolicy {
             next_rr: Time::ZERO + cfg.rr_reactivate_interval,
             poll_ids: Vec::new(),
             poll_active: Vec::new(),
+            poll_mark: Vec::new(),
+            poll_reclaim: Vec::new(),
             cfg,
             stats: CeioStats::default(),
             mode: Mode::Normal,
@@ -646,8 +651,10 @@ impl IoPolicy for CeioPolicy {
         ids.extend(self.ctl.keys());
         let mut active = std::mem::take(&mut self.poll_active);
         active.clear();
-        let mut to_mark: Vec<FlowId> = Vec::new();
-        let mut to_reclaim: Vec<FlowId> = Vec::new();
+        let mut to_mark = std::mem::take(&mut self.poll_mark);
+        to_mark.clear();
+        let mut to_reclaim = std::mem::take(&mut self.poll_reclaim);
+        to_reclaim.clear();
         for &flow in &ids {
             // Poll the steering counter (the hardware credit-consumption
             // signal the controller tracks, Fig. 6).
@@ -717,12 +724,12 @@ impl IoPolicy for CeioPolicy {
             c.arrivals_at_last_poll = arrivals;
             c.slow_len_at_last_poll = slow_len;
         }
-        for flow in to_mark {
+        for &flow in &to_mark {
             st.mark_flow(now, flow);
             self.stats.cca_triggers += 1;
         }
         if self.cfg.reallocate {
-            for flow in to_reclaim {
+            for &flow in &to_reclaim {
                 if self.credits.reclaim(flow) > 0 {
                     st.nic_arm.execute(now, st.cfg.nic.arm_credit_op);
                 }
@@ -805,6 +812,8 @@ impl IoPolicy for CeioPolicy {
         self.rejections_at_last_poll = rejections;
         self.poll_ids = ids;
         self.poll_active = active;
+        self.poll_mark = to_mark;
+        self.poll_reclaim = to_reclaim;
         debug_assert!(self.credits.conserved(), "credit conservation violated");
     }
 

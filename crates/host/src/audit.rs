@@ -22,6 +22,11 @@
 //! * **llc-io-occupancy** — DDIO-resident I/O bytes never exceed the
 //!   reachable LLC partition capacity (what credit admission guarantees).
 //! * **iio-occupancy** — staged bytes never exceed the IIO buffer.
+//! * **poll-scan-hints** — the bookkeeping a core poll trusts to skip
+//!   work is never stale in the unsafe direction: every flow with a
+//!   non-empty `ready` or `slow_queue` has its busy bit set, and every
+//!   core whose service list holds an inactive flow is flagged for a
+//!   retain.
 //!
 //! Policy-internal invariants (the CEIO credit ledger) are checked through
 //! the [`IoPolicy::audit_check`] hook, which shares this auditor's sink so
@@ -200,6 +205,38 @@ impl HostAuditor {
                 } else {
                     Ok(())
                 }
+            },
+        )));
+
+        // 7. Core-poll scan hints (busy bits, retain flags).
+        registry.register(Box::new(FnInvariant::new(
+            "poll-scan-hints",
+            |st: &HostState| {
+                for (id, f) in &st.flows {
+                    let busy = st.flow_busy.get(id.0 as usize).copied().unwrap_or(false);
+                    if !busy && (!f.ready.is_empty() || !f.slow_queue.is_empty()) {
+                        return Err((
+                            format!("flow {} has queued packets but a clear busy bit", id.0),
+                            vec![
+                                ("flow", id.0.to_string()),
+                                ("ready", f.ready.len().to_string()),
+                                ("slow_queue", f.slow_queue.len().to_string()),
+                            ],
+                        ));
+                    }
+                }
+                for (core, list) in st.core_flows.iter().enumerate() {
+                    let inactive = list
+                        .iter()
+                        .find(|id| st.flows.get(id).is_none_or(|f| !f.active));
+                    if let (Some(id), false) = (inactive, st.retain_due[core]) {
+                        return Err((
+                            format!("core {core} lists inactive flow {} unflagged", id.0),
+                            vec![("core", core.to_string()), ("flow", id.0.to_string())],
+                        ));
+                    }
+                }
+                Ok(())
             },
         )));
 

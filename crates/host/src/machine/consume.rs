@@ -1,7 +1,6 @@
 //! Consumption handlers: driver polls and in-order application delivery
 //! (`CorePoll`), plus the slow-path DMA-read fetch they drive.
 
-use crate::flowstate::SlowPkt;
 use crate::policy::IoPolicy;
 use crate::rxq::PendingDma;
 use ceio_chaos::FaultSite;
@@ -20,15 +19,11 @@ impl<P: IoPolicy> Machine<P> {
         }
     }
 
-    /// Execute a slow-path fetch of up to `fetch` packets for `flow`.
-    /// Returns the host-arrival instant plus the fetched batch (the caller
-    /// schedules the `HostArrive` events), or `None` if nothing was fetched.
-    fn do_slow_fetch(
-        &mut self,
-        now: Time,
-        flow: FlowId,
-        fetch: u32,
-    ) -> Option<(Time, Vec<SlowPkt>)> {
+    /// Execute a slow-path fetch of up to `fetch` packets for `flow` into
+    /// `slow_batch`. Returns the host-arrival instant (the caller schedules
+    /// the batch's `HostArrive` events), or `None` if nothing was fetched
+    /// (the batch is then empty again).
+    fn do_slow_fetch(&mut self, now: Time, flow: FlowId, fetch: u32) -> Option<Time> {
         // Retry-backoff gate: a transiently-faulted read is retried at the
         // next driver poll after the backoff elapses. Parked packets stay
         // parked — the slow path never drops on read faults.
@@ -36,7 +31,7 @@ impl<P: IoPolicy> Machine<P> {
             return None;
         }
         let f = self.st.flows.get_mut(&flow)?;
-        let mut batch: Vec<SlowPkt> = Vec::new();
+        let batch = &mut self.slow_batch;
         let mut total = 0u64;
         while batch.len() < fetch as usize {
             match f.slow_queue.front() {
@@ -67,14 +62,14 @@ impl<P: IoPolicy> Machine<P> {
                 let at_host = self.st.dma.read_completion(data_ready, total);
                 self.st
                     .trace_event(now, Some(flow.0), TraceKind::SlowFetch, batch.len() as u64);
-                for sp in &batch {
+                for sp in &self.slow_batch {
                     self.st.trace_stage(
                         Some(flow.0),
                         Stage::SlowResidency,
                         now.since(sp.pkt.arrived_nic),
                     );
                 }
-                Some((at_host, batch))
+                Some(at_host)
             }
             Err(err) => {
                 // Transient fault: arm a retry backoff before the next
@@ -97,22 +92,19 @@ impl<P: IoPolicy> Machine<P> {
                     .flows
                     .get_mut(&flow)
                     .expect("invariant: flow presence was checked earlier in this handler");
-                for sp in batch.into_iter().rev() {
+                for sp in self.slow_batch.drain(..).rev() {
                     f.slow_queue.push_front(sp);
                 }
+                self.st.flow_busy[flow.0 as usize] = true;
                 None
             }
         }
     }
 
-    /// Intern and schedule the host arrivals of a fetched slow-path batch.
-    fn schedule_slow_arrivals(
-        &mut self,
-        at_host: Time,
-        fetched: Vec<SlowPkt>,
-        queue: &mut EventQueue<Event>,
-    ) {
-        for sp in fetched {
+    /// Intern and schedule the host arrivals of the fetched slow-path batch
+    /// (emptying `slow_batch`).
+    fn schedule_slow_arrivals(&mut self, at_host: Time, queue: &mut EventQueue<Event>) {
+        for sp in self.slow_batch.drain(..) {
             let buf = self.st.alloc_buf();
             let did = self.st.slabs.intern_dma(PendingDma {
                 pkt: sp.pkt,
@@ -144,13 +136,22 @@ impl<P: IoPolicy> Machine<P> {
             return;
         }
         // Drop finished-and-drained flows from this core's service list.
-        self.st.core_flows[core].retain(|id| {
-            self.st
-                .flows
-                .get(id)
-                .map(|f| f.active || f.has_pending_work())
-                .unwrap_or(false)
-        });
+        // Only an inactive flow can leave it, so the retain runs only while
+        // the list may hold one (`retain_due`, flagged when a listed flow
+        // stops emitting) and notes whether one stays listed.
+        if self.st.retain_due[core] {
+            let flows = &self.st.flows;
+            let mut inactive_listed = false;
+            self.st.core_flows[core].retain(|id| match flows.get(id) {
+                Some(f) if f.active => true,
+                Some(f) if f.has_pending_work() => {
+                    inactive_listed = true;
+                    true
+                }
+                _ => false,
+            });
+            self.st.retain_due[core] = inactive_listed;
+        }
         let n = self.st.core_flows[core].len();
         if n == 0 {
             return;
@@ -169,17 +170,24 @@ impl<P: IoPolicy> Machine<P> {
         let mut sync_stall: Option<Time> = None;
         for k in 0..n {
             let flow_id = self.st.core_flows[core][(start + k) % n];
+            // Idle flow: nothing retired into `ready`, nothing parked in
+            // `slow_queue`. The rest of this iteration would be a no-op for
+            // it — an empty batch, no gap stall, no drain request from any
+            // in-tree policy, and a slow fetch that returns before touching
+            // state — so skipping it leaves the round-robin cursor and
+            // every counter unchanged. A clear busy bit proves the flow
+            // idle without reading its state; a set bit is only a hint,
+            // checked below and cleared when the queues are empty.
+            if !self.st.flow_busy[flow_id.0 as usize] {
+                continue;
+            }
             let (gap_stall, class) = {
-                let f = self.st.flows.get_mut(&flow_id).expect(
-                    "invariant: the retain above keeps only ids present in `self.st.flows`",
-                );
-                // Idle flow: nothing retired into `ready`, nothing parked
-                // in `slow_queue`. The rest of this iteration would be a
-                // no-op for it — an empty batch, no gap stall, no drain
-                // request from any in-tree policy, and a slow fetch that
-                // returns before touching state — so skipping it leaves
-                // the round-robin cursor and every counter unchanged.
+                let f =
+                    self.st.flows.get_mut(&flow_id).expect(
+                        "invariant: service lists hold only ids present in `self.st.flows`",
+                    );
                 if f.ready.is_empty() && f.slow_queue.is_empty() {
+                    self.st.flow_busy[flow_id.0 as usize] = false;
                     continue;
                 }
                 f.take_deliverable(now, batch_size, &mut self.batch);
@@ -195,9 +203,8 @@ impl<P: IoPolicy> Machine<P> {
                 // while this batch is processed (§4.2).
                 let drain = self.policy.on_driver_poll(&mut self.st, now, flow_id);
                 if drain.fetch > 0 && !drain.sync {
-                    if let Some((at_host, fetched)) = self.do_slow_fetch(now, flow_id, drain.fetch)
-                    {
-                        self.schedule_slow_arrivals(at_host, fetched, queue);
+                    if let Some(at_host) = self.do_slow_fetch(now, flow_id, drain.fetch) {
+                        self.schedule_slow_arrivals(at_host, queue);
                     }
                 }
                 self.st.core_rr[core] = (start + k + 1) % n;
@@ -211,8 +218,8 @@ impl<P: IoPolicy> Machine<P> {
             // stalls the core until the fetch lands).
             let drain = self.policy.on_driver_poll(&mut self.st, now, flow_id);
             if drain.fetch > 0 {
-                if let Some((at_host, fetched)) = self.do_slow_fetch(now, flow_id, drain.fetch) {
-                    self.schedule_slow_arrivals(at_host, fetched, queue);
+                if let Some(at_host) = self.do_slow_fetch(now, flow_id, drain.fetch) {
+                    self.schedule_slow_arrivals(at_host, queue);
                     if drain.sync {
                         sync_stall = Some(at_host);
                         break;

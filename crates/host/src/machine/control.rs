@@ -88,6 +88,7 @@ impl<P: IoPolicy> Machine<P> {
         self.st.cores.push(ceio_cpu::CpuCore::new());
         self.st.core_flows.push(Vec::new());
         self.st.core_rr.push(0);
+        self.st.retain_due.push(false);
         self.st.poll_queued.push(false);
         self.st.cores.len() - 1
     }
@@ -122,6 +123,10 @@ impl<P: IoPolicy> Machine<P> {
         self.st.flows_started_per_queue[q] += 1;
         let id = spec.id;
         self.st.core_flows[core].push(id);
+        let slot = id.0 as usize;
+        if slot >= self.st.flow_busy.len() {
+            self.st.flow_busy.resize(slot + 1, false);
+        }
         let gen = TrafficGen::new(
             spec.clone(),
             self.st.pacing,
@@ -149,6 +154,7 @@ impl<P: IoPolicy> Machine<P> {
         // its buffers (host LLC residency, on-NIC parking) return at once.
         if let Some(f) = self.st.flows.get_mut(&id) {
             f.active = false;
+            self.st.retain_due[f.core] = true;
             if let Some(tok) = f.emit_timer.take() {
                 queue.cancel(tok);
             }

@@ -288,6 +288,7 @@ impl<P: IoPolicy> Machine<P> {
                         via_slow,
                     },
                 );
+                self.st.flow_busy[pkt.flow.0 as usize] = true;
                 poll_core = Some(f.core);
             }
         } else {

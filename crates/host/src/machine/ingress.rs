@@ -42,6 +42,7 @@ impl<P: IoPolicy> Machine<P> {
         f.emit_timer = None;
         if !f.active || now >= f.spec.stop {
             f.active = false;
+            self.st.retain_due[f.core] = true;
             return;
         }
         if f.cca.paused() {
@@ -136,6 +137,7 @@ impl<P: IoPolicy> Machine<P> {
                             ready_at_nic,
                         });
                         f.counters.slow_pkts += 1;
+                        self.st.flow_busy[pkt.flow.0 as usize] = true;
                         self.st
                             .trace_event(now, Some(pkt.flow.0), TraceKind::SlowPark, pkt.bytes);
                     }

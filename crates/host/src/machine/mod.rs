@@ -42,7 +42,7 @@ pub use control::{arm_chaos, FailoverStats, WATCHDOG_INTERVAL};
 pub use dma::RecoveryStats;
 
 use crate::config::HostConfig;
-use crate::flowstate::{FlowState, ReadyPkt};
+use crate::flowstate::{FlowState, ReadyPkt, SlowPkt};
 use crate::measure::{Measurements, RunReport};
 use crate::policy::IoPolicy;
 use crate::rxq::{PendingDma, RxQueue};
@@ -169,8 +169,18 @@ pub struct HostState {
     pub memctrl: MemoryController,
     /// Host CPU cores (index = core id).
     pub cores: Vec<CpuCore>,
-    core_flows: Vec<Vec<FlowId>>,
+    /// Per-core service lists: the flows each core polls, round-robin.
+    pub(crate) core_flows: Vec<Vec<FlowId>>,
     core_rr: Vec<usize>,
+    /// Per-flow busy bits, indexed by flow id: set wherever a flow's
+    /// `ready` or `slow_queue` becomes non-empty, cleared when a core
+    /// poll's scan finds both empty. A clear bit proves the flow idle, so
+    /// the scan skips it without touching its [`FlowState`].
+    pub(crate) flow_busy: Vec<bool>,
+    /// Per-core: the service list may hold an inactive flow, so the next
+    /// poll must run its `retain`. Set on the flow's core when a flow stops
+    /// emitting; the retain recomputes it.
+    pub(crate) retain_due: Vec<bool>,
     flows_started: usize,
     flows_started_per_queue: Vec<usize>,
     poll_queued: Vec<bool>,
@@ -251,6 +261,16 @@ impl HostState {
     #[inline]
     fn queue_staging_bytes(&self) -> u64 {
         self.cfg.nic_staging_bytes / self.rxq.len().max(1) as u64
+    }
+
+    /// Clear a flow's busy bit whatever its queues hold — the missed
+    /// busy-bit set the audit layer must catch. Only compiled in test
+    /// builds or under the `audit` feature.
+    #[cfg(any(test, feature = "audit"))]
+    pub fn clear_busy_for_tests(&mut self, flow: FlowId) {
+        if let Some(b) = self.flow_busy.get_mut(flow.0 as usize) {
+            *b = false;
+        }
     }
 
     /// Apply ECN feedback for one delivered packet to its sender.
@@ -399,6 +419,9 @@ pub struct Machine<P: IoPolicy> {
     /// poll's deliverable batch, or a teardown's discarded backlog);
     /// empty between events and reused so delivery never allocates.
     batch: Vec<ReadyPkt>,
+    /// Scratch batch of a slow-path fetch, from the on-NIC queue to the
+    /// scheduled host arrivals; empty between events, like `batch`.
+    slow_batch: Vec<SlowPkt>,
     /// The invariant auditor, when audit mode is armed (see
     /// [`crate::audit`]). `None` costs one pointer-width test per event.
     #[cfg(feature = "audit")]
@@ -442,6 +465,8 @@ impl<P: IoPolicy> Machine<P> {
             cores: Vec::new(),
             core_flows: Vec::new(),
             core_rr: Vec::new(),
+            flow_busy: Vec::new(),
+            retain_due: Vec::new(),
             flows_started: 0,
             flows_started_per_queue: vec![0; num_queues],
             poll_queued: Vec::new(),
@@ -474,6 +499,7 @@ impl<P: IoPolicy> Machine<P> {
             st,
             policy,
             batch: Vec::new(),
+            slow_batch: Vec::new(),
             // Arm the auditor at build time when the runtime switch is on
             // (`CEIO_AUDIT=1` or `ceio_audit::set_enabled(true)`); tests
             // can also arm it explicitly via [`Machine::arm_audit`].

@@ -19,6 +19,7 @@ use std::ops::Index;
 ///
 /// The API mirrors the subset of `BTreeMap<FlowId, T>` the simulator uses;
 /// iteration yields keys by value, in ascending id order.
+#[derive(Debug, Clone)]
 pub struct FlowMap<T> {
     slots: Vec<Option<T>>,
     len: usize,
@@ -75,6 +76,19 @@ impl<T> FlowMap<T> {
             self.len += 1;
         }
         old
+    }
+
+    /// The entry of `id`, mutably, inserting `make()` first when absent.
+    pub fn get_or_insert_with(&mut self, id: FlowId, make: impl FnOnce() -> T) -> &mut T {
+        let idx = id.0 as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize_with(idx + 1, || None);
+        }
+        let slot = &mut self.slots[idx];
+        if slot.is_none() {
+            self.len += 1;
+        }
+        slot.get_or_insert_with(make)
     }
 
     /// Remove and return the entry of `id`, leaving its slot empty (the
@@ -244,6 +258,17 @@ mod tests {
         assert_eq!(m.len(), 4);
         assert_eq!(m.keys().collect::<Vec<_>>(), [0, 1, 2, 3].map(FlowId));
         assert_eq!(m[&FlowId(2)], 20);
+    }
+
+    #[test]
+    fn get_or_insert_with_inserts_once() {
+        let mut m = FlowMap::new();
+        *m.get_or_insert_with(FlowId(3), || 1) += 10;
+        *m.get_or_insert_with(FlowId(3), || 100) += 10;
+        assert_eq!(m.len(), 1);
+        assert_eq!(m[&FlowId(3)], 21);
+        assert_eq!(*m.get_or_insert_with(FlowId(0), || 7), 7);
+        assert_eq!(m.keys().collect::<Vec<_>>(), [0, 3].map(FlowId));
     }
 
     #[test]

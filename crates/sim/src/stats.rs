@@ -183,9 +183,18 @@ impl TimeSeries {
 ///
 /// Values ≥ `2^(sub_bucket_bits+1)` fall into buckets of doubling width; the
 /// maximum representable value is `u64::MAX` (clamped into the last bucket).
+///
+/// The bucket array is sized lazily: it holds only the buckets up to the
+/// highest one recorded (every bucket beyond it is zero by definition), so
+/// a histogram that never records costs no bucket storage at all. The
+/// logical bucket count, and with it every reported number, is the same
+/// as for a fully allocated array.
 #[derive(Debug, Clone, Serialize)]
 pub struct Histogram {
     sub_bucket_bits: u32,
+    /// Logical bucket count (covers the full `u64` range).
+    buckets: usize,
+    /// Counts of buckets `0..counts.len()`; higher buckets are empty.
     counts: Vec<u64>,
     total: u64,
     max_seen: u64,
@@ -208,7 +217,8 @@ impl Histogram {
             + (64 - sub_bucket_bits as usize) * (1usize << (sub_bucket_bits - 1));
         Histogram {
             sub_bucket_bits,
-            counts: vec![0; buckets],
+            buckets,
+            counts: Vec::new(),
             total: 0,
             max_seen: 0,
             min_seen: u64::MAX,
@@ -228,7 +238,7 @@ impl Histogram {
         let tier = 63 - value.leading_zeros(); // tier >= b
         let sub = (value - (1u64 << tier)) >> (tier - b + 1); // [0, 2^(b-1))
         let idx = (1usize << b) + ((tier - b) as usize) * (1usize << (b - 1)) + sub as usize;
-        idx.min(self.counts.len() - 1)
+        idx.min(self.buckets - 1)
     }
 
     #[inline]
@@ -250,6 +260,9 @@ impl Histogram {
     /// Record one value.
     pub fn record(&mut self, value: u64) {
         let idx = self.index_of(value);
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += value as u128;
@@ -380,6 +393,9 @@ impl Histogram {
     /// Merge another histogram of the same precision into this one.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.sub_bucket_bits, other.sub_bucket_bits);
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -389,7 +405,9 @@ impl Histogram {
         self.min_seen = self.min_seen.min(other.min_seen);
     }
 
-    /// Reset all recorded data, keeping the precision.
+    /// Reset all recorded data, keeping the precision (and the bucket
+    /// storage already grown, so a cleared histogram records again without
+    /// reallocating).
     pub fn clear(&mut self) {
         self.counts.fill(0);
         self.total = 0;
