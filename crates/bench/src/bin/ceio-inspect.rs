@@ -45,18 +45,20 @@
 //!
 //! Both exports are validated with the telemetry layer's own JSON checker
 //! before they are written; an invalid document is a bug and exits 1.
+//!
+//! The shared flags are parsed by `ceio_bench::cli::RunSpec`: a malformed
+//! or missing value (including `--ring 0`) exits 2 with a one-line reason
+//! naming the flag. An output file that cannot be written exits 1 with a
+//! one-line reason.
 
-// CLI entry point: exiting with status 2 on a bad argument (or 1 on an
-// internal error) is the intended operator-facing behavior.
-#![allow(clippy::exit)]
-
-use ceio_bench::runner::PolicyKind;
-use ceio_bench::workloads::{self, AppKind, Transport};
-use ceio_chaos::FaultPlan;
+use ceio_bench::cli::{
+    exit_status, flag_value, parse_positive, write_output, RunSpec, DEFAULT_SCOPE_INTERVAL,
+};
+use ceio_bench::workloads;
 use ceio_host::Machine;
-use ceio_mem::LlcModelKind;
-use ceio_sim::{Duration, Time};
-use ceio_telemetry::{chrome_trace_json, json, render_html, scope, SloRule, Stage, TraceEvent};
+use ceio_sim::Time;
+use ceio_telemetry::{chrome_trace_json, json, render_html, Stage, TraceEvent};
+use std::process::ExitCode;
 
 /// ceio-scope output mode (the optional leading positional argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,325 +71,52 @@ enum Mode {
     Timeseries,
 }
 
-struct Args {
+/// The flags only `ceio-inspect` takes.
+struct Outputs<'a> {
     mode: Mode,
-    policy: PolicyKind,
-    scenario: String,
-    millis: u64,
-    warmup_ms: u64,
     ring: usize,
-    trace_out: String,
-    prom_out: String,
-    out: Option<String>,
-    plan: Option<FaultPlan>,
-    plan_label: String,
-    queues: usize,
-    ddio_ways: Option<u32>,
-    llc_model: Option<LlcModelKind>,
-    seed: u64,
-    scope_interval: Option<Duration>,
-    slos: Vec<SloRule>,
+    trace_out: &'a str,
+    prom_out: &'a str,
+    out: Option<&'a str>,
 }
 
-/// Parse a required numeric flag value; exit(2) when missing or malformed.
-fn parse_num(flag: &str, value: Option<&String>) -> u64 {
-    match value.map(|s| s.parse::<u64>()) {
-        Some(Ok(v)) => v,
-        Some(Err(_)) | None => {
-            eprintln!(
-                "{flag} requires a numeric value, got {:?}",
-                value.map(String::as_str).unwrap_or("<missing>")
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parse `--queues`: a positive queue count; exit(2) on zero (no receive
-/// queues leaves no data path) or a non-numeric value.
-fn parse_queues(value: Option<&String>) -> usize {
-    match value.map(|s| s.parse::<usize>()) {
-        Some(Ok(v)) if v >= 1 => v,
-        Some(Ok(_)) => {
-            eprintln!("--queues must be >= 1 (zero receive queues leaves no data path)");
-            std::process::exit(2);
-        }
-        Some(Err(_)) | None => {
-            eprintln!(
-                "--queues requires a positive integer, got {:?}",
-                value.map(String::as_str).unwrap_or("<missing>")
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Resolve `--seed`/`--fault-plan` into an armed plan, exiting 2 on a
-/// malformed spec.
-fn resolve_fault_plan(spec: Option<&String>, seed: u64) -> Option<FaultPlan> {
-    let spec = spec?;
-    match FaultPlan::parse(spec, seed) {
-        Ok(p) => Some(p),
-        Err(e) => {
-            eprintln!("--fault-plan {spec:?}: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parse `--ddio-ways`: a positive DDIO way count; exit(2) on zero (a
-/// zero-way partition leaves DMA nowhere to land) or a non-numeric value.
-/// Geometry bounds (ways <= total ways) are checked by `validate` after
-/// all flags are applied.
-fn parse_ddio_ways(value: Option<&String>) -> u32 {
-    match value.map(|s| s.parse::<u32>()) {
-        Some(Ok(v)) if v >= 1 => v,
-        Some(Ok(_)) => {
-            eprintln!("--ddio-ways must be >= 1 (a zero-way DDIO partition leaves DMA nowhere)");
-            std::process::exit(2);
-        }
-        Some(Err(_)) | None => {
-            eprintln!(
-                "--ddio-ways requires a positive integer, got {:?}",
-                value.map(String::as_str).unwrap_or("<missing>")
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parse `--llc-model`: `pool` (seed default) or `setassoc`; exit(2) on
-/// anything else.
-fn parse_llc_model(value: Option<&String>) -> LlcModelKind {
-    match value.map(String::as_str) {
-        Some("pool") => LlcModelKind::Pool,
-        Some("setassoc") => LlcModelKind::SetAssoc,
-        Some(other) => {
-            eprintln!("--llc-model must be pool or setassoc, got {other:?}");
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("--llc-model requires a model name (pool|setassoc)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Apply the LLC flags to the host config and re-validate the combined
-/// geometry; exit(2) when the flags describe a cache the models cannot
-/// represent (e.g. more DDIO ways than total ways).
-fn apply_llc_flags(
-    host: &mut ceio_host::HostConfig,
-    ddio_ways: Option<u32>,
-    llc_model: Option<LlcModelKind>,
-) {
-    if let Some(w) = ddio_ways {
-        host.mem.ddio_ways = w;
-    }
-    if let Some(m) = llc_model {
-        host.mem.llc_model = m;
-    }
-    if let Err(e) = host.validate() {
-        eprintln!("--ddio-ways/--llc-model: {e}");
-        std::process::exit(2);
-    }
-}
-
-/// Parse `--scope-interval`/`--slo for=` durations (ns/us/ms or bare ns),
-/// exiting 2 on a malformed literal.
-fn parse_scope_duration(flag: &str, value: Option<&String>) -> Duration {
-    match value.map(|s| scope::parse_duration(s)) {
-        Some(Ok(d)) if d > Duration::ZERO => d,
-        Some(Ok(_)) => {
-            eprintln!("{flag} must be a positive duration");
-            std::process::exit(2);
-        }
-        Some(Err(e)) => {
-            eprintln!("{flag}: {e}");
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("{flag} requires a duration (e.g. 50us, 1ms, 500ns)");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn parse_args() -> Args {
-    let mut a = Args {
-        mode: Mode::Inspect,
-        policy: PolicyKind::Ceio,
-        scenario: "kv".to_string(),
-        millis: 3,
-        warmup_ms: 1,
-        ring: 1 << 16,
-        trace_out: "ceio-inspect-trace.json".to_string(),
-        prom_out: "ceio-inspect-metrics.prom".to_string(),
-        out: None,
-        plan: None,
-        plan_label: "none".to_string(),
-        queues: 1,
-        ddio_ways: None,
-        llc_model: None,
-        seed: 0,
-        scope_interval: None,
-        slos: Vec::new(),
-    };
-    let mut seed = 0u64;
-    let mut plan_spec: Option<String> = None;
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    if let Some(first) = args.first() {
-        match first.as_str() {
-            "report" => {
-                a.mode = Mode::Report;
-                i = 1;
-            }
-            "timeseries" => {
-                a.mode = Mode::Timeseries;
-                i = 1;
-            }
-            _ => {}
-        }
+    let mut args = args.iter().map(String::as_str).peekable();
+    let mode = match args.peek() {
+        Some(&"report") => Mode::Report,
+        Some(&"timeseries") => Mode::Timeseries,
+        _ => Mode::Inspect,
+    };
+    if mode != Mode::Inspect {
+        args.next();
     }
-    while i < args.len() {
-        match args[i].as_str() {
-            "--policy" => {
-                i += 1;
-                a.policy = match args.get(i).map(|s| s.as_str()) {
-                    Some("baseline") => PolicyKind::Baseline,
-                    Some("hostcc") => PolicyKind::HostCc,
-                    Some("shring") => PolicyKind::ShRing,
-                    Some("ceio") | None => PolicyKind::Ceio,
-                    Some(other) => {
-                        eprintln!("unknown policy {other}");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--scenario" => {
-                i += 1;
-                a.scenario = args.get(i).cloned().unwrap_or_else(|| "kv".into());
-            }
-            "--millis" => {
-                i += 1;
-                a.millis = parse_num("--millis", args.get(i)).max(1);
-            }
-            "--warmup-ms" => {
-                i += 1;
-                a.warmup_ms = parse_num("--warmup-ms", args.get(i)).max(1);
-            }
+    let mut o = Outputs {
+        mode,
+        ring: 1 << 16,
+        trace_out: "ceio-inspect-trace.json",
+        prom_out: "ceio-inspect-metrics.prom",
+        out: None,
+    };
+    let spec = RunSpec::parse(args, 3, |flag, value| {
+        match flag {
             "--ring" => {
-                i += 1;
-                a.ring = parse_num("--ring", args.get(i)).max(1) as usize;
+                o.ring = parse_positive(flag, value, "a zero-capacity ring records nothing")?
             }
-            "--trace-out" => {
-                i += 1;
-                a.trace_out = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--trace-out requires a path");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--prom-out" => {
-                i += 1;
-                a.prom_out = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--prom-out requires a path");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--seed" => {
-                i += 1;
-                seed = parse_num("--seed", args.get(i));
-            }
-            "--fault-plan" => {
-                i += 1;
-                plan_spec = match args.get(i) {
-                    Some(s) => Some(s.clone()),
-                    None => {
-                        eprintln!("--fault-plan requires a spec (canned name or key=value list)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--queues" => {
-                i += 1;
-                a.queues = parse_queues(args.get(i));
-            }
-            "--ddio-ways" => {
-                i += 1;
-                a.ddio_ways = Some(parse_ddio_ways(args.get(i)));
-            }
-            "--llc-model" => {
-                i += 1;
-                a.llc_model = Some(parse_llc_model(args.get(i)));
-            }
-            "--out" => {
-                i += 1;
-                a.out = match args.get(i) {
-                    Some(p) => Some(p.clone()),
-                    None => {
-                        eprintln!("--out requires a path");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--scope-interval" => {
-                i += 1;
-                a.scope_interval = Some(parse_scope_duration("--scope-interval", args.get(i)));
-            }
-            "--slo" => {
-                i += 1;
-                let spec = match args.get(i) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--slo requires a rule spec (see --help text in the module doc)");
-                        std::process::exit(2);
-                    }
-                };
-                match SloRule::parse_spec(spec) {
-                    Ok(mut rules) => a.slos.append(&mut rules),
-                    Err(e) => {
-                        eprintln!("--slo {spec:?}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            "--trace-out" => o.trace_out = flag_value(flag, value)?,
+            "--prom-out" => o.prom_out = flag_value(flag, value)?,
+            "--out" => o.out = Some(flag_value(flag, value)?),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    a.plan = resolve_fault_plan(plan_spec.as_ref(), seed);
-    if let Some(spec) = plan_spec {
-        a.plan_label = spec;
-    }
-    a.seed = seed;
-    a
-}
-
-/// Write `content` to `path`, exiting 1 with a diagnostic on failure.
-fn write_file(path: &str, content: &str) {
-    if let Err(e) = std::fs::write(path, content) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
+        Ok(true)
+    });
+    exit_status(spec, |spec| run(spec, &o))
 }
 
 /// Validate a JSON document produced by our own emitters; a failure here
 /// is an exporter bug and must be loud.
-fn must_validate(what: &str, doc: &str) {
-    if let Err(e) = json::validate(doc) {
-        eprintln!("internal error: {what} emitted invalid JSON: {e}");
-        std::process::exit(1);
-    }
+fn must_validate(what: &str, doc: &str) -> Result<(), String> {
+    json::validate(doc).map_err(|e| format!("internal error: {what} emitted invalid JSON: {e}"))
 }
 
 fn print_event_counts(events: &[TraceEvent], dropped: u64) {
@@ -406,74 +135,47 @@ fn print_event_counts(events: &[TraceEvent], dropped: u64) {
     }
 }
 
-fn main() {
-    let a = parse_args();
-    let mut host = workloads::contended_host(Transport::Dpdk);
-    host.sample_window = Duration::micros(100);
-    host.num_queues = a.queues;
-    apply_llc_flags(&mut host, a.ddio_ways, a.llc_model);
-    let link = host.net.link_bandwidth;
-    let phase = Duration::millis((a.millis / 4).max(1));
-    let (scen, app) = match a.scenario.as_str() {
-        "kv" => (workloads::involved_flows(8, 512, link), AppKind::Kv),
-        "mixed" => (workloads::mixed_flows(4, 4, 512, link), AppKind::Mixed),
-        "dynamic" => (
-            workloads::dynamic_distribution(phase, 3, link),
-            AppKind::Mixed,
-        ),
-        "burst" => (workloads::network_burst(phase, 3, link), AppKind::Mixed),
-        other => {
-            eprintln!("unknown scenario {other} (kv|mixed|dynamic|burst)");
-            std::process::exit(2);
-        }
-    };
-
-    let policy = a.policy.build(&host);
-    let mut sim = Machine::build(host, policy, scen, workloads::app_factory(app));
-    sim.model.arm_trace(a.ring);
-    if let Some(plan) = a.plan.as_ref() {
+fn run(spec: RunSpec, o: &Outputs) -> Result<(), String> {
+    let (scen, app) = spec.workload();
+    let policy = spec.policy.build(&spec.host);
+    let mut sim = Machine::build(spec.host.clone(), policy, scen, workloads::app_factory(app));
+    sim.model.arm_trace(o.ring);
+    if let Some(plan) = spec.plan.as_ref() {
         // The free function also arms the queue-health watchdog when the
         // plan carries a queue-level fault site.
         ceio_host::arm_chaos(&mut sim, plan);
     }
-    sim.model.set_run_label(&a.plan_label);
+    sim.model.set_run_label(&spec.plan_label);
 
     // Arm the flight recorder when a scope output mode or scope flag asks
     // for it (default epoch: 50 us of sim time).
-    let scoped = a.mode != Mode::Inspect || a.scope_interval.is_some() || !a.slos.is_empty();
-    if scoped {
-        let interval = a.scope_interval.unwrap_or(Duration::micros(50));
+    if o.mode != Mode::Inspect || spec.scoped() {
         ceio_host::arm_scope(
             &mut sim,
-            interval,
+            spec.scope_interval.unwrap_or(DEFAULT_SCOPE_INTERVAL),
             ceio_host::DEFAULT_SCOPE_CAP,
-            a.slos.clone(),
+            spec.slos.clone(),
         );
     }
 
-    let warmup = Duration::millis(a.warmup_ms);
-    let measure = Duration::millis(a.millis);
-    let report = ceio_host::run_to_report(&mut sim, warmup, measure);
-    let end = Time::ZERO + warmup + measure;
+    let report = ceio_host::run_to_report(&mut sim, spec.warmup(), spec.measure());
+    let end = Time::ZERO + spec.warmup() + spec.measure();
 
     // Metrics snapshot: prom text to file, JSON validated as a self-check.
     let snap = sim.model.snapshot(end);
-    must_validate("snapshot", &snap.to_json());
-    write_file(&a.prom_out, &snap.to_prom_text());
+    must_validate("snapshot", &snap.to_json())?;
+    write_output(o.prom_out, &snap.to_prom_text())?;
 
     // Scope outputs (report / timeseries modes).
-    match a.mode {
+    match o.mode {
         Mode::Inspect => {}
         Mode::Timeseries => {
             let rec = sim
                 .model
                 .scope()
                 .expect("invariant: timeseries mode armed the scope above");
-            let path = a
-                .out
-                .clone()
-                .unwrap_or_else(|| "ceio-timeseries.csv".into());
-            write_file(&path, &rec.to_csv());
+            let path = o.out.unwrap_or("ceio-timeseries.csv");
+            write_output(path, &rec.to_csv())?;
             eprintln!("wrote {path} ({} series)", rec.all_series().len());
         }
         Mode::Report => {
@@ -483,11 +185,11 @@ fn main() {
                 .expect("invariant: report mode armed the scope above");
             let meta = vec![
                 ("policy".to_string(), report.policy.clone()),
-                ("scenario".to_string(), a.scenario.clone()),
-                ("chaos seed".to_string(), a.seed.to_string()),
-                ("queues".to_string(), a.queues.to_string()),
-                ("fault plan".to_string(), a.plan_label.clone()),
-                ("measured".to_string(), format!("{} ms", a.millis)),
+                ("scenario".to_string(), spec.scenario.name().to_string()),
+                ("chaos seed".to_string(), spec.seed.to_string()),
+                ("queues".to_string(), spec.host.num_queues.to_string()),
+                ("fault plan".to_string(), spec.plan_label.clone()),
+                ("measured".to_string(), format!("{} ms", spec.millis)),
                 ("scope epochs".to_string(), rec.samples().to_string()),
             ];
             let charts = vec![
@@ -512,8 +214,8 @@ fn main() {
                 ),
             ];
             let html = render_html("ceio-scope report", &meta, &rec.alert_states(), &charts);
-            let path = a.out.clone().unwrap_or_else(|| "ceio-report.html".into());
-            write_file(&path, &html);
+            let path = o.out.unwrap_or("ceio-report.html");
+            write_output(path, &html)?;
             eprintln!("wrote {path} ({} charts)", charts.len());
         }
     }
@@ -521,16 +223,16 @@ fn main() {
     // Chrome trace export.
     let (events, dropped) = sim.model.trace_events();
     let trace = chrome_trace_json(&events, dropped);
-    must_validate("chrome trace", &trace);
-    write_file(&a.trace_out, &trace);
+    must_validate("chrome trace", &trace)?;
+    write_output(o.trace_out, &trace)?;
     // Anyone mining slo-alert events out of the trace needs to know when
     // the drop-oldest ring overflowed: early fires are silently gone.
-    if dropped > 0 && !a.slos.is_empty() {
+    if dropped > 0 && !spec.slos.is_empty() {
         eprintln!(
             "warning: trace ring evicted {dropped} events during the run; early \
              slo-alert fires may be missing from {} (raise --ring; the \
              ceio_alert_* metrics remain exact)",
-            a.trace_out
+            o.trace_out
         );
     }
 
@@ -538,7 +240,7 @@ fn main() {
     println!(
         "{} / {}: {:.2} Gbps total ({:.2} fast, {:.2} slow), {} dropped, {} slow-path pkts",
         report.policy,
-        a.scenario,
+        spec.scenario.name(),
         report.total_gbps(),
         report.fast_path_gbps,
         report.slow_path_gbps,
@@ -565,8 +267,9 @@ fn main() {
     }
     eprintln!(
         "wrote {} ({} events) and {}",
-        a.trace_out,
+        o.trace_out,
         events.len(),
-        a.prom_out
+        o.prom_out
     );
+    Ok(())
 }

@@ -2,7 +2,6 @@
 
 pub mod ablations;
 pub mod ddio;
-pub mod engine;
 pub mod failover;
 pub mod fig04;
 pub mod fig09;
@@ -36,6 +35,5 @@ pub fn all() -> Vec<(&'static str, ExperimentFn)> {
         ("failover", failover::run),
         ("ablations", ablations::run),
         ("sensitivity", sensitivity::run),
-        ("engine", engine::run),
     ]
 }

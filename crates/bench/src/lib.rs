@@ -10,6 +10,7 @@
 //! `quick = true` shrinks sweeps and measurement spans for CI-speed runs;
 //! `quick = false` is what EXPERIMENTS.md records.
 
+pub mod cli;
 pub mod experiments;
 pub mod runner;
 pub mod table;

@@ -207,20 +207,8 @@ pub fn run_one_faulted(
     report
 }
 
-/// Variant of [`run_one`] returning the finished simulation for
+/// [`run_one_faulted`] returning the finished simulation for
 /// introspection (controller stats, per-flow counters).
-pub fn run_one_keep(
-    host: HostConfig,
-    kind: PolicyKind,
-    scenario: Scenario,
-    factory: AppFactory,
-    warmup: Duration,
-    measure: Duration,
-) -> (RunReport, ceio_sim::Simulation<Machine<AnyPolicy>>) {
-    run_one_keep_faulted(host, kind, scenario, factory, warmup, measure, None)
-}
-
-/// [`run_one_keep`] with an optional fault plan (see [`run_one_faulted`]).
 pub fn run_one_keep_faulted(
     host: HostConfig,
     kind: PolicyKind,

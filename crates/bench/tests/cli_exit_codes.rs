@@ -1,13 +1,16 @@
 //! Exit-code contract of the operator-facing CLIs: every malformed-spec
 //! path (`--slo`, `--fault-plan`, `--queues`, `--scope-interval`,
-//! `--ddio-ways`, `--llc-model`, plus
-//! missing values and unknown flags) must exit 2 with a one-line reason
-//! on stderr naming the offending flag — never a panic, never a silent
-//! fallback into a multi-second simulation with the wrong config.
+//! `--ddio-ways`, `--llc-model`, `--policy`, `--scenario`, zero
+//! durations, plus missing values and unknown flags) must exit 2 with a
+//! one-line reason on stderr naming the offending flag — never a panic,
+//! never a silent fallback into a multi-second simulation with the wrong
+//! config. An output file that cannot be written exits 1 with a one-line
+//! reason.
 //!
 //! Table-driven over both binaries: `ceio-trace` and `ceio-inspect`
-//! share their flag grammar, so any divergence in their rejection
-//! behavior is itself a bug this test catches.
+//! share their flag grammar (`ceio_bench::cli::RunSpec`), so any
+//! divergence in their rejection behavior is itself a bug this test
+//! catches.
 
 use std::process::Command;
 
@@ -81,6 +84,13 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, &'static str)> {
             "--llc-model",
         ),
         ("unknown policy", vec!["--policy", "bogus"], "bogus"),
+        ("missing policy value", vec!["--policy"], "--policy"),
+        ("missing scenario value", vec!["--scenario"], "--scenario"),
+        ("missing out value", vec!["--out"], "--out"),
+        ("unknown scenario", vec!["--scenario", "web"], "--scenario"),
+        ("zero millis", vec!["--millis", "0"], "--millis"),
+        ("zero warmup", vec!["--warmup-ms", "0"], "--warmup-ms"),
+        ("non-numeric seed", vec!["--seed", "lucky"], "--seed"),
         ("unknown flag", vec!["--no-such-flag"], "--no-such-flag"),
     ]
 }
@@ -122,6 +132,64 @@ fn malformed_specs_exit_2_with_one_line_reasons() {
             assert_rejects(bin, label, &args, token);
         }
     }
+    // `--ring` is `ceio-inspect`'s own flag.
+    assert_rejects(
+        env!("CARGO_BIN_EXE_ceio-inspect"),
+        "zero ring",
+        &["--ring", "0"],
+        "--ring",
+    );
+}
+
+/// An output path that cannot be written fails the run with exit 1 and a
+/// one-line reason naming the path, after a cheap 1 ms run.
+#[test]
+fn unwritable_outputs_exit_1_with_one_line_reasons() {
+    // A path under a regular file can never be created.
+    let bad = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out");
+    let scratch = std::env::temp_dir().join(format!("ceio-cli-exit-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("create scratch dir");
+    let ok = |name: &str| scratch.join(name).to_string_lossy().into_owned();
+    let (trace, prom) = (ok("trace.json"), ok("metrics.prom"));
+    let cases: Vec<(&str, Vec<&str>)> = vec![
+        (env!("CARGO_BIN_EXE_ceio-trace"), vec!["--out", bad]),
+        (
+            env!("CARGO_BIN_EXE_ceio-trace"),
+            vec!["--scope-interval", "100us", "--scope-out", bad],
+        ),
+        (
+            env!("CARGO_BIN_EXE_ceio-inspect"),
+            vec!["--trace-out", &trace, "--prom-out", bad],
+        ),
+        (
+            env!("CARGO_BIN_EXE_ceio-inspect"),
+            vec!["--trace-out", bad, "--prom-out", &prom],
+        ),
+    ];
+    for (bin, extra) in cases {
+        let out = Command::new(bin)
+            .args(["--millis", "1"])
+            .args(&extra)
+            .output()
+            .expect("spawn CLI binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{bin} {extra:?}: expected exit 1, got {:?} (stderr: {stderr:?})",
+            out.status.code()
+        );
+        assert_eq!(
+            stderr.lines().count(),
+            1,
+            "{bin} {extra:?}: expected a one-line reason, got {stderr:?}"
+        );
+        assert!(
+            stderr.starts_with("cannot write ") && stderr.contains(bad),
+            "{bin} {extra:?}: stderr must name the path, got {stderr:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 /// `ceio-experiments` has its own flag grammar (`--jobs`, experiment

@@ -5,8 +5,7 @@
 //! order, so completion-order races on worker threads must never leak into
 //! stdout. Wall-clock timing lines go to stderr precisely so they are
 //! excluded from this comparison. The selection here is the two cheapest
-//! deterministic experiments; the `engine` experiment is excluded because
-//! its report *is* wall-clock measurement.
+//! experiments.
 
 use std::process::Command;
 

@@ -12,15 +12,14 @@
 //!   scheduled event can be cancelled in O(1) through a [`TimerToken`]
 //!   (cancellation frees the payload immediately; the orphaned key is
 //!   lazily skipped when it surfaces);
-//! * a pluggable **priority backend** ([`QueueBackend`]): the default is a
-//!   hierarchical timing wheel (64-slot radix per level, 11 levels covering
-//!   the full `u64` nanosecond range) with O(1) amortised push/pop; a binary
-//!   heap is kept as the reference implementation, pinned equivalent by
-//!   property tests and selectable for control runs.
+//! * a **hierarchical timing wheel** (64-slot radix per level, 11 levels
+//!   covering the full `u64` nanosecond range) ordering the keys with O(1)
+//!   amortised push/pop. The binary heap it replaced is kept as a test-only
+//!   oracle (`crates/sim/tests/oracle/queue.rs`), and a property test pins
+//!   the two to identical pop order and cancel outcomes.
 
 use crate::time::{Duration, Time};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// An event with its scheduled dispatch time.
 #[derive(Debug, Clone)]
@@ -39,22 +38,6 @@ impl<E> PartialEq for EventEntry<E> {
 }
 impl<E> Eq for EventEntry<E> {}
 
-impl<E> PartialOrd for EventEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for EventEntry<E> {
-    // Reverse ordering: earliest-first under a max-heap discipline.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Handle to a cancellable scheduled event.
 ///
 /// Returned by [`EventQueue::schedule_cancellable_at`]; pass it back to
@@ -68,52 +51,13 @@ pub struct TimerToken {
     gen: u32,
 }
 
-/// Which priority structure orders the future-event list.
-///
-/// Both backends produce bit-identical `(time, seq)` pop order (pinned by
-/// property tests); they differ only in cost. The wheel is the default; the
-/// heap is kept as the slow reference for debugging and as the control arm of
-/// the `engine` perf experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// Hierarchical timing wheel: O(1) amortised schedule/pop.
-    Wheel,
-    /// Binary heap: O(log n) schedule/pop (seed-era reference).
-    Heap,
-}
-
-/// Priority key: everything the backend needs to order an event. The payload
+/// Priority key: everything the wheel needs to order an event. The payload
 /// stays in the slab; `idx` points at its slot.
 #[derive(Debug, Clone, Copy)]
 struct Key {
     at: Time,
     seq: u64,
     idx: u32,
-}
-
-/// [`Key`] with earliest-first ordering for the reference `BinaryHeap`.
-#[derive(Debug, Clone, Copy)]
-struct HeapKey(Key);
-
-impl PartialEq for HeapKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
-    }
-}
-impl Eq for HeapKey {}
-impl PartialOrd for HeapKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .0
-            .at
-            .cmp(&self.0.at)
-            .then_with(|| other.0.seq.cmp(&self.0.seq))
-    }
 }
 
 /// Bits per wheel level: 64 slots each.
@@ -303,61 +247,20 @@ impl Wheel {
         }
     }
 
+    // `peek`, `pop` and `EventQueue::clean_peek` are `#[inline]`: left to
+    // the compiler they stayed out-of-line calls in the once-per-event
+    // `pop_before`, and `mixed_q4_dynamic` in `benchmark/` ran slower in
+    // 10 of 10 pairs.
+    #[inline]
     fn peek(&mut self) -> Option<&Key> {
         self.advance();
         self.ready.front()
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<Key> {
         self.advance();
         self.ready.pop_front()
-    }
-
-    /// Remove every key (in no particular order), for backend conversion.
-    fn drain_all(&mut self) -> Vec<Key> {
-        let mut out: Vec<Key> = self.ready.drain(..).collect();
-        for head in &mut self.heads {
-            let mut c = std::mem::replace(head, NIL);
-            while c != NIL {
-                let chunk = &self.chunks[c as usize];
-                out.extend_from_slice(&chunk.keys[..chunk.len as usize]);
-                c = chunk.next;
-            }
-        }
-        self.chunks.clear();
-        self.free.clear();
-        self.occupied = [0; LEVELS];
-        out
-    }
-}
-
-/// The pluggable priority structure.
-#[derive(Debug)]
-enum Backend {
-    Wheel(Box<Wheel>),
-    Heap(BinaryHeap<HeapKey>),
-}
-
-impl Backend {
-    fn push(&mut self, key: Key) {
-        match self {
-            Backend::Wheel(w) => w.push(key),
-            Backend::Heap(h) => h.push(HeapKey(key)),
-        }
-    }
-
-    fn peek(&mut self) -> Option<Key> {
-        match self {
-            Backend::Wheel(w) => w.peek().copied(),
-            Backend::Heap(h) => h.peek().map(|k| k.0),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Key> {
-        match self {
-            Backend::Wheel(w) => w.pop(),
-            Backend::Heap(h) => h.pop().map(|k| k.0),
-        }
     }
 }
 
@@ -377,7 +280,7 @@ struct Slot<E> {
 /// simulated time; popping an event advances the clock to its dispatch time.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend,
+    wheel: Box<Wheel>,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     now: Time,
@@ -396,18 +299,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue at time zero, on the default (timing wheel) backend.
+    /// An empty queue at time zero.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::Wheel)
-    }
-
-    /// An empty queue at time zero on an explicit backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
         EventQueue {
-            backend: match backend {
-                QueueBackend::Wheel => Backend::Wheel(Box::new(Wheel::new())),
-                QueueBackend::Heap => Backend::Heap(BinaryHeap::new()),
-            },
+            wheel: Box::new(Wheel::new()),
             slots: Vec::new(),
             free: Vec::new(),
             now: Time::ZERO,
@@ -418,40 +313,6 @@ impl<E> EventQueue<E> {
             live: 0,
             peak_live: 0,
         }
-    }
-
-    /// Which backend orders this queue.
-    pub fn backend(&self) -> QueueBackend {
-        match self.backend {
-            Backend::Wheel(_) => QueueBackend::Wheel,
-            Backend::Heap(_) => QueueBackend::Heap,
-        }
-    }
-
-    /// Rebuild the queue on a different backend, preserving every pending
-    /// event and the exact `(time, seq)` dispatch order. O(n); intended for
-    /// control runs that flip a fully-seeded simulation onto the reference
-    /// heap.
-    pub fn set_backend(&mut self, backend: QueueBackend) {
-        if self.backend() == backend {
-            return;
-        }
-        let keys = match &mut self.backend {
-            Backend::Wheel(w) => w.drain_all(),
-            Backend::Heap(h) => std::mem::take(h).into_iter().map(|k| k.0).collect(),
-        };
-        let mut next = match backend {
-            QueueBackend::Wheel => {
-                let mut w = Wheel::new();
-                w.cur = self.now.0;
-                Backend::Wheel(Box::new(w))
-            }
-            QueueBackend::Heap => Backend::Heap(BinaryHeap::with_capacity(keys.len())),
-        };
-        for key in keys {
-            next.push(key);
-        }
-        self.backend = next;
     }
 
     /// The current simulated time (the dispatch time of the last popped
@@ -499,7 +360,7 @@ impl<E> EventQueue<E> {
         self.scheduled_total += 1;
         let idx = self.alloc(seq, event);
         let key = Key { at, seq, idx };
-        self.backend.push(key);
+        self.wheel.push(key);
         key
     }
 
@@ -536,7 +397,7 @@ impl<E> EventQueue<E> {
     /// Cancel a pending event in O(1). Returns `true` if the event was still
     /// pending (and is now dropped), `false` if it already dispatched, was
     /// already cancelled, or the token is stale. The payload is freed
-    /// immediately; the backend's orphaned key is skipped lazily on pop.
+    /// immediately; the wheel's orphaned key is skipped lazily on pop.
     pub fn cancel(&mut self, token: TimerToken) -> bool {
         let Some(slot) = self.slots.get_mut(token.idx as usize) else {
             return false;
@@ -576,20 +437,21 @@ impl<E> EventQueue<E> {
 
     /// Discard cancelled keys at the front, returning the minimum live key
     /// without removing it.
+    #[inline]
     fn clean_peek(&mut self) -> Option<Key> {
         loop {
-            let key = self.backend.peek()?;
+            let key = *self.wheel.peek()?;
             if self.is_live(key) {
                 return Some(key);
             }
-            self.backend.pop();
+            self.wheel.pop();
         }
     }
 
     /// Pop the earliest event, advancing the clock to its dispatch time.
     pub fn pop(&mut self) -> Option<EventEntry<E>> {
         loop {
-            let key = self.backend.pop()?;
+            let key = self.wheel.pop()?;
             if self.is_live(key) {
                 return Some(self.dispatch(key));
             }
@@ -605,7 +467,7 @@ impl<E> EventQueue<E> {
         if key.at >= horizon {
             return None;
         }
-        self.backend.pop();
+        self.wheel.pop();
         Some(self.dispatch(key))
     }
 
@@ -825,32 +687,6 @@ mod tests {
         assert_eq!((e.at, e.event), (Time(10), "a"));
         assert_eq!(q.pop_before(Time(15)), None);
         assert_eq!(q.now(), Time(10));
-    }
-
-    #[test]
-    fn backend_conversion_preserves_order() {
-        let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
-        assert_eq!(wheel.backend(), QueueBackend::Wheel);
-        assert_eq!(heap.backend(), QueueBackend::Heap);
-        for q in [&mut wheel, &mut heap] {
-            for i in 0..50u64 {
-                q.schedule_at(Time((i * 37) % 11), i);
-            }
-            let tok = q.schedule_cancellable_at(Time(4), 999);
-            q.cancel(tok);
-        }
-        // Flip the wheel-seeded queue onto the heap mid-flight.
-        wheel.set_backend(QueueBackend::Heap);
-        assert_eq!(wheel.backend(), QueueBackend::Heap);
-        loop {
-            let a = wheel.pop().map(|e| (e.at, e.event));
-            let b = heap.pop().map(|e| (e.at, e.event));
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

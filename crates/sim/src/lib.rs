@@ -6,9 +6,8 @@
 //! * [`time`] — integer-nanosecond simulated time ([`Time`], [`Duration`]) and
 //!   bandwidth/rate conversion helpers ([`Bandwidth`]).
 //! * [`event`] — a deterministic future-event list ([`EventQueue`]) with
-//!   FIFO tie-breaking for simultaneous events, a hierarchical timing-wheel
-//!   backend (binary heap kept as the reference), and O(1) timer
-//!   cancellation via [`TimerToken`].
+//!   FIFO tie-breaking for simultaneous events, ordered by a hierarchical
+//!   timing wheel, and O(1) timer cancellation via [`TimerToken`].
 //! * [`engine`] — the [`Model`]/[`Simulation`] run loop.
 //! * [`rng`] — a seedable xoshiro256** generator so every experiment is
 //!   bit-reproducible from its seed.
@@ -28,7 +27,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Model, Simulation, StepOutcome};
-pub use event::{EventEntry, EventQueue, QueueBackend, TimerToken};
+pub use event::{EventEntry, EventQueue, TimerToken};
 pub use rng::Rng;
 pub use stats::{Counter, Ewma, Histogram, RateMeter, TimeSeries};
 pub use time::{Bandwidth, Duration, Time};

@@ -3,3 +3,4 @@
 //! rewrite result for result.
 
 pub mod histogram;
+pub mod queue;

@@ -146,118 +146,27 @@ proptest! {
         let (da, db, dc) = (Duration::nanos(a), Duration::nanos(b), Duration::nanos(c));
         prop_assert_eq!((da + db) + dc, da + (db + dc));
     }
-}
 
-/// One step of the queue-equivalence exercise, applied identically to the
-/// wheel-backed queue and the heap-backed reference.
-#[derive(Debug, Clone)]
-enum QueueOp {
-    /// Schedule at `now + offset` (offset 0 = same-nanosecond burst).
-    Schedule { offset: u64 },
-    /// Schedule cancellable at `now + offset`, remembering the token.
-    ScheduleCancellable { offset: u64 },
-    /// Cancel the `pick % tokens.len()`-th remembered token (possibly
-    /// already fired or already cancelled — a cancellation race).
-    Cancel { pick: usize },
-    /// Pop the next event.
-    Pop,
-}
-
-/// Offsets biased toward 0 (same-ns FIFO bursts) and small values, with a
-/// heavy tail that crosses several wheel levels.
-fn offset_strategy() -> impl Strategy<Value = u64> {
-    prop_oneof![
-        4 => Just(0u64),
-        4 => 1u64..64,
-        2 => 64u64..4096,
-        1 => 4096u64..(1 << 30),
-        1 => (1u64 << 30)..(1 << 45),
-    ]
-}
-
-fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
-    prop_oneof![
-        4 => offset_strategy().prop_map(|offset| QueueOp::Schedule { offset }),
-        3 => offset_strategy().prop_map(|offset| QueueOp::ScheduleCancellable { offset }),
-        2 => any::<usize>().prop_map(|pick| QueueOp::Cancel { pick }),
-        3 => Just(QueueOp::Pop),
-    ]
-}
-
-/// Run `ops` against one queue, returning the observable trace: every popped
-/// `(time, payload)` plus every cancel outcome, then a full drain.
-fn queue_trace(backend: ceio_sim::QueueBackend, ops: &[QueueOp]) -> Vec<(u64, u64, bool)> {
-    let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
-    let mut tokens = Vec::new();
-    let mut trace = Vec::new();
-    let mut next_payload = 0u64;
-    for op in ops {
-        match op {
-            QueueOp::Schedule { offset } => {
-                q.schedule_at(q.now() + Duration::nanos(*offset), next_payload);
-                next_payload += 1;
-            }
-            QueueOp::ScheduleCancellable { offset } => {
-                tokens.push(
-                    q.schedule_cancellable_at(q.now() + Duration::nanos(*offset), next_payload),
-                );
-                next_payload += 1;
-            }
-            QueueOp::Cancel { pick } => {
-                if !tokens.is_empty() {
-                    let tok = tokens[pick % tokens.len()];
-                    trace.push((u64::MAX, u64::MAX, q.cancel(tok)));
-                }
-            }
-            QueueOp::Pop => {
-                if let Some(e) = q.pop() {
-                    trace.push((e.at.0, e.event, true));
-                }
-            }
-        }
-    }
-    while let Some(e) = q.pop() {
-        trace.push((e.at.0, e.event, true));
-    }
-    assert!(q.is_empty());
-    trace
-}
-
-proptest! {
-    /// The timing wheel and the reference heap produce bit-identical
-    /// dispatch traces — same `(time, payload)` pop order, same cancel
-    /// outcomes — under arbitrary interleavings of scheduling (including
-    /// same-nanosecond FIFO bursts and multi-level offsets), cancellation
-    /// races, and pops.
-    #[test]
-    fn wheel_matches_heap_reference(ops in prop::collection::vec(queue_op_strategy(), 1..120)) {
-        let wheel = queue_trace(ceio_sim::QueueBackend::Wheel, &ops);
-        let heap = queue_trace(ceio_sim::QueueBackend::Heap, &ops);
-        prop_assert_eq!(wheel, heap);
-    }
-
-    /// Same-nanosecond bursts pop in exact scheduling order on both
-    /// backends, even when split across interleaved future times.
+    /// Same-nanosecond bursts pop in exact scheduling order, even when
+    /// split across interleaved future times.
     #[test]
     fn same_ns_bursts_stay_fifo(burst in 2usize..150, t in 0u64..1u64<<40) {
-        for backend in [ceio_sim::QueueBackend::Wheel, ceio_sim::QueueBackend::Heap] {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..burst as u64 {
-                q.schedule_at(Time(t), i);
-                q.schedule_at(Time(t.saturating_add(i + 1)), burst as u64 + i);
-            }
-            let mut prev: Option<(u64, u64)> = None;
-            let mut same_t = Vec::new();
-            while let Some(e) = q.pop() {
-                if let Some((pt, _)) = prev {
-                    prop_assert!(e.at.0 >= pt, "time went backwards");
-                }
-                if e.at.0 == t {
-                    same_t.push(e.event);
-                }
-                prev = Some((e.at.0, e.event));
-            }
-            prop_assert_eq!(&same_t, &(0..burst as u64).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        for i in 0..burst as u64 {
+            q.schedule_at(Time(t), i);
+            q.schedule_at(Time(t.saturating_add(i + 1)), burst as u64 + i);
         }
+        let mut prev: Option<(u64, u64)> = None;
+        let mut same_t = Vec::new();
+        while let Some(e) = q.pop() {
+            if let Some((pt, _)) = prev {
+                prop_assert!(e.at.0 >= pt, "time went backwards");
+            }
+            if e.at.0 == t {
+                same_t.push(e.event);
+            }
+            prev = Some((e.at.0, e.event));
+        }
+        prop_assert_eq!(&same_t, &(0..burst as u64).collect::<Vec<_>>());
     }
 }

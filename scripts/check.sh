@@ -125,20 +125,6 @@ grep -q "<svg" "$smoke_dir/ceio-report.html" \
     || { echo "scope smoke: report carries no inline SVG charts"; exit 1; }
 echo "scope smoke passed"
 
-echo "==> perf smoke (engine events/sec, wheel vs heap)"
-# Runs the `engine` experiment in quick mode and archives its
-# BENCH_engine.json. Non-gating on absolute numbers: shared CI runners
-# make wall-clock throughput (and even the wheel/heap ratio) too noisy to
-# fail the build on, so the gate is only that the experiment runs and the
-# JSON artifact is well-formed. The trajectory lives in the archived
-# artifacts; EXPERIMENTS.md records numbers from a quiet machine.
-(cd "$smoke_dir" && "$OLDPWD/target/release/ceio-experiments" --quick --jobs 2 engine \
-    > engine-stdout.txt)
-grep -q '"min_speedup"' "$smoke_dir/BENCH_engine.json" \
-    || { echo "perf smoke: BENCH_engine.json missing or malformed"; exit 1; }
-cp "$smoke_dir/BENCH_engine.json" BENCH_engine.json
-echo "perf smoke passed ($(grep -o '"min_speedup": [0-9.]*' BENCH_engine.json))"
-
 echo "==> bench smoke (benchmark/: transparency tests + every workload at 2 s)"
 # The end-to-end benchmark is its own Cargo workspace (benchmark/Cargo.toml).
 # Its transparency tests pin path equivalence and BENCHMARK.json agreement.
@@ -154,23 +140,26 @@ tail -n 1 "$smoke_dir/bench-smoke.txt" > bench-smoke.json
 echo "bench smoke passed"
 
 echo "==> paper-suite goldens + ddio smoke (quick stdout of every figure, set-associative telemetry)"
-# Every deterministic ceio-experiments target (all but `engine`, which
-# prints wall-clock numbers) runs in quick mode, and its stdout must match
-# crates/bench/tests/golden/quick/<name>.txt byte for byte: every miss
-# rate, goodput, P99 and drop count of every paper figure. The release
-# binary takes ~15-20 s for the lot; the debug binary would take ~130 s,
-# which is why this lane is not part of `cargo test`. An intended change
-# to a figure regenerates its golden by redirecting
+# Every ceio-experiments target runs in quick mode, and its stdout must
+# match crates/bench/tests/golden/quick/<name>.txt byte for byte: every
+# miss rate, goodput, P99 and drop count of every paper figure. The
+# goldens are concatenated in the order the targets print (the
+# `experiments::all()` order), so a target added without a golden fails
+# here. The release binary takes ~15-20 s for the lot; the debug binary
+# would take ~130 s, which is why this lane is not part of `cargo test`.
+# An intended change to a figure regenerates its golden by redirecting
 # `ceio-experiments --quick <name>` stdout into the file.
 # The ddio sweep's shapes (baseline monotonicity, CEIO flatness) are gated
 # by in-module tests above; this lane also checks that it emits a
-# well-formed BENCH_ddio.json (archived like the engine numbers), and that
-# a set-associative ceio-inspect run exports the per-way occupancy gauges
-# and the DDIO-disabled bypass counter.
-golden_targets="fig04 fig09 fig10 fig11 fig12 table2 table3 table4 limited queues ddio failover ablations sensitivity"
-(cd "$smoke_dir" && "$OLDPWD/target/release/ceio-experiments" --quick --jobs 2 $golden_targets \
+# well-formed BENCH_ddio.json (archived), and that a set-associative
+# ceio-inspect run exports the per-way occupancy gauges and the
+# DDIO-disabled bypass counter.
+(cd "$smoke_dir" && "$OLDPWD/target/release/ceio-experiments" --quick --jobs 2 \
     > quick-stdout.txt)
-for t in $golden_targets; do cat "crates/bench/tests/golden/quick/$t.txt"; done > "$smoke_dir/quick-golden.txt"
+for t in $(sed -n 's/^=== \([^ ]*\) (quick) ===$/\1/p' "$smoke_dir/quick-stdout.txt"); do
+    cat "crates/bench/tests/golden/quick/$t.txt" \
+        || { echo "paper-suite goldens: target '$t' has no golden"; exit 1; }
+done > "$smoke_dir/quick-golden.txt"
 diff -u "$smoke_dir/quick-golden.txt" "$smoke_dir/quick-stdout.txt" \
     || { echo "paper-suite goldens: quick output diverged (see crates/bench/tests/golden/quick/)"; exit 1; }
 grep -q '"cold_start_rows"' "$smoke_dir/BENCH_ddio.json" \
