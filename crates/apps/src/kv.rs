@@ -5,19 +5,24 @@
 //! 1,000 key-value entries and generate requests randomly from 8 client
 //! threads."
 //!
-//! The store is a real hash map over real bytes: requests are synthesized
-//! deterministically from packet identity (the packet model carries no
-//! payload), hashed, and served. eRPC's zero-copy optimization means RX
-//! buffers are handed to the handler directly (`post_recv`, §5), so the
-//! profile reports zero copied bytes — the property §6.4 credits for
-//! eRPC's near-line-rate results.
+//! Requests are synthesized deterministically from packet identity (the
+//! packet model carries no payload) and served against a presence bitmap
+//! over the keyspace: one bit per key, set when the key holds a value.
+//! That is all a request can observe. Values are never read, every value
+//! is `value_bytes` long, and the handler's simulated CPU cost is
+//! `handler_overhead`, not the host's own lookup, so a GET's response size
+//! depends only on whether its key is present. A map of real byte values
+//! would answer every request identically (DESIGN.md §21) while hashing
+//! on the simulator's own hot path.
+//!
+//! eRPC's zero-copy optimization means RX buffers are handed to the
+//! handler directly (`post_recv`, §5), so the profile reports zero copied
+//! bytes — the property §6.4 credits for eRPC's near-line-rate results.
 
-use bytes::Bytes;
 use ceio_cpu::{AppWork, Application};
 use ceio_net::Packet;
 use ceio_sim::Duration;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// KV server parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -28,7 +33,7 @@ pub struct KvConfig {
     pub key_bytes: usize,
     /// Value size in bytes (1:4 key:value ratio by default).
     pub value_bytes: usize,
-    /// Per-request handler compute beyond the hash-map operation itself
+    /// Per-request handler compute, table operation included
     /// (request parse, response build, eRPC session/mempool bookkeeping).
     /// The 300 ns default puts one core's cache-hot capacity at ~3M req/s
     /// — the regime where LLC hit/miss state directly modulates
@@ -61,10 +66,11 @@ pub struct KvStats {
 /// The key-value server application.
 pub struct KvStore {
     cfg: KvConfig,
-    table: HashMap<u64, Bytes>,
-    /// Every value a PUT can write, by fill byte: a PUT stores a shared
-    /// handle instead of allocating its bytes.
-    put_values: Vec<Bytes>,
+    /// Bit `k` is set when key `k` holds a value; the keyspace is
+    /// `0..keyspace(cfg)`, covered by `ceil(keyspace / 64)` words.
+    present: Vec<u64>,
+    /// Keys that hold a value (the set bits of `present`).
+    live: usize,
     stats: KvStats,
 }
 
@@ -77,21 +83,26 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Keys requests draw from: slightly more than the populated set, so some
+/// GETs miss.
+#[inline]
+fn keyspace(cfg: &KvConfig) -> u64 {
+    cfg.entries + cfg.entries / 8
+}
+
 impl KvStore {
-    /// A server pre-populated with `cfg.entries` entries.
+    /// A server pre-populated with `cfg.entries` entries (keys
+    /// `0..entries`).
     pub fn new(cfg: KvConfig) -> KvStore {
-        let mut table = HashMap::with_capacity(cfg.entries as usize);
-        let value = Bytes::from(vec![0xA5u8; cfg.value_bytes]);
+        let words = keyspace(&cfg).div_ceil(64) as usize;
+        let mut present = vec![0u64; words];
         for k in 0..cfg.entries {
-            table.insert(k, value.clone());
+            present[(k / 64) as usize] |= 1 << (k % 64);
         }
-        let put_values = (0..=u8::MAX)
-            .map(|b| Bytes::from(vec![b; cfg.value_bytes]))
-            .collect();
         KvStore {
+            live: cfg.entries as usize,
             cfg,
-            table,
-            put_values,
+            present,
             stats: KvStats::default(),
         }
     }
@@ -107,14 +118,14 @@ impl KvStore {
         &self.stats
     }
 
-    /// Current table size.
+    /// Keys currently holding a value.
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.live
     }
 
-    /// Whether the table is empty.
+    /// Whether no key holds a value.
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.live == 0
     }
 }
 
@@ -127,21 +138,23 @@ impl Application for KvStore {
         // Deterministic request synthesis: 1:1 get/put over a keyspace
         // slightly larger than the populated set (some gets miss).
         let h = mix(pkt.id.0);
-        let key = h % (self.cfg.entries + self.cfg.entries / 8);
+        let key = h % keyspace(&self.cfg);
         let is_get = h & (1 << 40) == 0;
+        let (word, bit) = ((key / 64) as usize, 1u64 << (key % 64));
         let response_bytes = if is_get {
             self.stats.gets += 1;
-            match self.table.get(&key) {
-                Some(v) => {
-                    self.stats.hits += 1;
-                    v.len() as u64 + 64
-                }
-                None => 64, // not-found header
+            if self.present[word] & bit != 0 {
+                self.stats.hits += 1;
+                self.cfg.value_bytes as u64 + 64
+            } else {
+                64 // not-found header
             }
         } else {
             self.stats.puts += 1;
-            let value = self.put_values[(h & 0xFF) as usize].clone();
-            self.table.insert(key, value);
+            if self.present[word] & bit == 0 {
+                self.present[word] |= bit;
+                self.live += 1;
+            }
             64 // ack
         };
         AppWork {

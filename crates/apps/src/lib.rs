@@ -3,8 +3,8 @@
 //! Each application implements the `ceio_cpu::Application` consumer trait,
 //! exposing the *cost profile* that matters to the I/O path — compute per
 //! packet, copied bytes, response bytes — while also doing enough real work
-//! (an actual hash-map KV store, an actual chunk/replica ledger) that the
-//! profiles are grounded rather than hard-coded constants.
+//! (a KV store that tracks which keys hold values, an actual chunk/replica
+//! ledger) that the profiles are grounded rather than hard-coded constants.
 //!
 //! * [`KvStore`] — the eRPC-based key-value server: 1:1 get/put with a 1:4
 //!   key:value ratio (16 B keys, 64 B values ⇒ 144 B requests), zero-copy

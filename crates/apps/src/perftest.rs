@@ -28,7 +28,7 @@ impl SinkApp {
         self.received
     }
 
-    /// Bytes absorbed.
+    /// Packet bytes absorbed.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }

@@ -25,7 +25,8 @@
 //! renders a self-contained HTML document (inline-SVG occupancy and
 //! goodput charts, run metadata, SLO outcomes) and `timeseries` writes
 //! the recorded gauges as wide CSV, both to `--out` (defaults:
-//! `ceio-report.html` / `ceio-timeseries.csv`). Either mode — or passing
+//! `ceio-report.html` / `ceio-timeseries.csv`); without a mode nothing
+//! writes `--out`, so passing it exits 2. Either mode — or passing
 //! `--scope-interval`/`--slo` explicitly — arms the sim-time flight
 //! recorder (default interval 50us). `--slo` takes `;`-separated
 //! threshold+duration rules, e.g.
@@ -109,6 +110,14 @@ fn main() -> ExitCode {
             _ => return Ok(false),
         }
         Ok(true)
+    })
+    .and_then(|spec| match (o.mode, o.out) {
+        (Mode::Inspect, Some(_)) => Err(
+            "--out needs the report or timeseries mode: plain inspection writes only \
+             --trace-out and --prom-out"
+                .to_string(),
+        ),
+        _ => Ok(spec),
     });
     exit_status(spec, |spec| run(spec, &o))
 }

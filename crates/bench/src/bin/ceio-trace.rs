@@ -32,7 +32,8 @@
 //! interval is given. When the recorder is armed, its wide-format
 //! time-series CSV is written to `--scope-out` (default
 //! `ceio-scope.csv`) alongside the measurement CSV, and fired alerts are
-//! listed on stderr.
+//! listed on stderr. `--scope-out` without `--scope-interval` or `--slo`
+//! would write nothing and exits 2.
 //!
 //! The shared flags are parsed by `ceio_bench::cli::RunSpec`: a malformed
 //! or missing value exits 2 with a one-line reason naming the flag. An
@@ -47,16 +48,25 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = None;
-    let mut scope_out = "ceio-scope.csv";
+    let mut scope_out = None;
     let spec = RunSpec::parse(args.iter().map(String::as_str), 10, |flag, value| {
         match flag {
             "--out" => out = Some(flag_value(flag, value)?),
-            "--scope-out" => scope_out = flag_value(flag, value)?,
+            "--scope-out" => scope_out = Some(flag_value(flag, value)?),
             _ => return Ok(false),
         }
         Ok(true)
+    })
+    .and_then(|spec| match scope_out {
+        Some(_) if !spec.scoped() => Err(
+            "--scope-out needs --scope-interval or --slo: without them no scope series is recorded"
+                .to_string(),
+        ),
+        _ => Ok(spec),
     });
-    exit_status(spec, |spec| run(spec, out, scope_out))
+    exit_status(spec, |spec| {
+        run(spec, out, scope_out.unwrap_or("ceio-scope.csv"))
+    })
 }
 
 fn run(spec: RunSpec, out: Option<&str>, scope_out: &str) -> Result<(), String> {

@@ -5,7 +5,10 @@
 //! one-line reason on stderr naming the offending flag — never a panic,
 //! never a silent fallback into a multi-second simulation with the wrong
 //! config. An output file that cannot be written exits 1 with a one-line
-//! reason.
+//! reason. An output flag that the chosen mode never writes
+//! (`ceio-inspect --out` without `report`/`timeseries`, `ceio-trace
+//! --scope-out` without `--scope-interval`/`--slo`) is a malformed spec
+//! too.
 //!
 //! Table-driven over both binaries: `ceio-trace` and `ceio-inspect`
 //! share their flag grammar (`ceio_bench::cli::RunSpec`), so any
@@ -138,6 +141,19 @@ fn malformed_specs_exit_2_with_one_line_reasons() {
         "zero ring",
         &["--ring", "0"],
         "--ring",
+    );
+    // Output flags that the chosen mode never writes.
+    assert_rejects(
+        env!("CARGO_BIN_EXE_ceio-inspect"),
+        "report file without a report mode",
+        &["--millis", "1", "--out", "x.html"],
+        "--out",
+    );
+    assert_rejects(
+        env!("CARGO_BIN_EXE_ceio-trace"),
+        "scope file without a scope",
+        &["--millis", "1", "--scope-out", "s.csv"],
+        "--scope-out",
     );
 }
 

@@ -204,8 +204,7 @@ impl CeioPolicy {
     /// update takes extra ARM time (modelling a slow firmware path), which
     /// delays this and every later control-plane operation.
     fn sync_rule(&mut self, st: &mut HostState, now: Time, flow: FlowId, want: SteerAction) {
-        let prev = st.rmt.action(&flow);
-        if prev != Some(want) && st.rmt.set_action(&flow, want) {
+        if let Some(prev) = st.rmt.set_action(&flow, want) {
             st.nic_arm.execute(now, st.cfg.nic.arm_table_update);
             if let Some(ch) = self.chaos.as_mut() {
                 if ch.injector.fire(FaultSite::RmtInstallDelay) {
@@ -378,13 +377,7 @@ impl CeioPolicy {
 
     /// Record a rule rewrite — and, because the RMT rule *is* the phase
     /// under phase exclusivity, the matching slow-phase span edge.
-    fn trace_rewrite(
-        &mut self,
-        now: Time,
-        flow: FlowId,
-        prev: Option<SteerAction>,
-        want: SteerAction,
-    ) {
+    fn trace_rewrite(&mut self, now: Time, flow: FlowId, prev: SteerAction, want: SteerAction) {
         let Some(r) = self.tracer.as_mut() else {
             return;
         };
@@ -397,13 +390,13 @@ impl CeioPolicy {
         match want {
             SteerAction::SlowPath => {
                 r.push(ev(TraceKind::RuleRewriteSlow, 0));
-                if matches!(prev, Some(SteerAction::FastPath { .. })) {
+                if matches!(prev, SteerAction::FastPath { .. }) {
                     r.push(ev(TraceKind::PhaseSlowEnter, 0));
                 }
             }
             SteerAction::FastPath { queue } => {
                 r.push(ev(TraceKind::RuleRewriteFast, queue.index() as u64));
-                if matches!(prev, Some(SteerAction::SlowPath)) {
+                if matches!(prev, SteerAction::SlowPath) {
                     r.push(ev(TraceKind::PhaseSlowExit, 0));
                 }
             }

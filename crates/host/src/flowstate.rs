@@ -250,6 +250,18 @@ impl FlowState {
         s
     }
 
+    /// Count one of this flow's packets as dropped and, when `loss`, signal
+    /// it to the sender's congestion controller (the flow's half of
+    /// `HostState::account_drop`).
+    #[inline]
+    pub(crate) fn note_drop(&mut self, now: Time, loss: bool) {
+        self.counters.dropped += 1;
+        self.accounted += 1;
+        if loss {
+            self.cca.on_loss(now);
+        }
+    }
+
     /// Free host-ring descriptors (capacity minus retired minus in-flight).
     #[inline]
     pub fn ring_free(&self) -> u32 {

@@ -52,21 +52,23 @@ impl<P: IoPolicy> Machine<P> {
         let mut pkt = f.gen.emit(now);
         let rate = f.cca.rate();
         let next = f.gen.next_emission(now, rate);
-        match self.st.ingress.offer(now, pkt.bytes) {
+        let dropped = match self.st.ingress.offer(now, pkt.bytes) {
             IngressOutcome::Delivered { arrival, marked } => {
                 pkt.ecn = marked;
                 pkt.arrived_nic = arrival;
                 let pid = self.st.slabs.intern_pkt(pkt);
                 queue.schedule_at(arrival, Event::NicRx(pid));
+                false
             }
             IngressOutcome::Dropped => {
                 // Network drop, visible to the sender as loss.
-                self.st.account_drop(now, id, pkt.bytes, true);
+                f.note_drop(now, true);
+                true
             }
-        }
-        let tok = queue.schedule_cancellable_at(next, Event::Emit { flow: id, epoch });
-        if let Some(f) = self.st.flows.get_mut(&id) {
-            f.emit_timer = Some(tok);
+        };
+        f.emit_timer = Some(queue.schedule_cancellable_at(next, Event::Emit { flow: id, epoch }));
+        if dropped {
+            self.st.count_drop(now, id, pkt.bytes);
         }
     }
 
@@ -82,34 +84,34 @@ impl<P: IoPolicy> Machine<P> {
         }
         let decision = self.policy.steer(&mut self.st, now, &pkt);
         let fw = self.st.cfg.nic.firmware_per_packet;
+        // Past the policy, each arm probes the flow's state once and does
+        // its own accounting on that borrow.
         match decision {
             SteerDecision::FastPath { mark } => {
-                self.st.feedback(now, pkt.flow, pkt.ecn || mark);
-                let f = self
-                    .st
-                    .flows
-                    .get_mut(&pkt.flow)
-                    .expect("invariant: flow presence was checked earlier in this handler");
-                if f.ring_free() == 0 {
-                    // No RX descriptor: the NIC must drop.
-                    self.st.account_drop(now, pkt.flow, pkt.bytes, true);
-                    self.policy.on_fast_drop(&mut self.st, now, pkt.flow);
-                    return;
-                }
+                // Read before the flow is borrowed: the feedback and the
+                // ring check below change neither.
                 let q = self.st.queue_of(pkt.flow);
-                if self.st.rxq[q].pending_bytes() + pkt.bytes > self.st.queue_staging_bytes() {
-                    // This queue's staging partition overflowed while its
-                    // DMA pipeline is backpressured.
-                    self.st.rxq[q].stats.staging_drops += 1;
-                    self.st.account_drop(now, pkt.flow, pkt.bytes, true);
-                    self.policy.on_fast_drop(&mut self.st, now, pkt.flow);
-                    return;
-                }
+                let staging_full =
+                    self.st.rxq[q].pending_bytes() + pkt.bytes > self.st.queue_staging_bytes();
                 let f = self
                     .st
                     .flows
                     .get_mut(&pkt.flow)
                     .expect("invariant: flow presence was checked earlier in this handler");
+                f.cca.on_feedback(now, pkt.ecn || mark);
+                let ring_full = f.ring_free() == 0;
+                if ring_full || staging_full {
+                    // No RX descriptor, or this queue's staging partition
+                    // overflowed while its DMA pipeline is backpressured:
+                    // the NIC must drop.
+                    if !ring_full {
+                        self.st.rxq[q].stats.staging_drops += 1;
+                    }
+                    f.note_drop(now, true);
+                    self.st.count_drop(now, pkt.flow, pkt.bytes);
+                    self.policy.on_fast_drop(&mut self.st, now, pkt.flow);
+                    return;
+                }
                 f.ring_inflight += 1;
                 let nic_seq = f.take_seq();
                 let buf = self.st.alloc_buf();
@@ -123,13 +125,14 @@ impl<P: IoPolicy> Machine<P> {
                 self.pump(queue, now + fw, q);
             }
             SteerDecision::SlowPath { mark } => {
-                self.st.feedback(now, pkt.flow, pkt.ecn || mark);
+                let f = self
+                    .st
+                    .flows
+                    .get_mut(&pkt.flow)
+                    .expect("invariant: flow presence was checked earlier in this handler");
+                f.cca.on_feedback(now, pkt.ecn || mark);
                 match self.st.onboard.write(now + fw, pkt.bytes) {
                     Some(ready_at_nic) => {
-                        let f =
-                            self.st.flows.get_mut(&pkt.flow).expect(
-                                "invariant: flow presence was checked earlier in this handler",
-                            );
                         let nic_seq = f.take_seq();
                         f.slow_queue.push_back(SlowPkt {
                             pkt,
@@ -142,7 +145,8 @@ impl<P: IoPolicy> Machine<P> {
                             .trace_event(now, Some(pkt.flow.0), TraceKind::SlowPark, pkt.bytes);
                     }
                     None => {
-                        self.st.account_drop(now, pkt.flow, pkt.bytes, true);
+                        f.note_drop(now, true);
+                        self.st.count_drop(now, pkt.flow, pkt.bytes);
                     }
                 }
             }

@@ -158,7 +158,7 @@ pub struct HostState {
     /// The shared receiver link.
     pub ingress: IngressLink,
     /// The NIC's RMT steering engine (policies program it).
-    pub rmt: RmtEngine<FlowId>,
+    pub rmt: RmtEngine,
     /// On-NIC elastic-buffer memory.
     pub onboard: OnboardMemory,
     /// On-NIC ARM control core (policies charge their work here).
@@ -273,24 +273,12 @@ impl HostState {
         }
     }
 
-    /// Apply ECN feedback for one delivered packet to its sender.
-    fn feedback(&mut self, now: Time, flow: FlowId, marked: bool) {
-        if let Some(f) = self.flows.get_mut(&flow) {
-            f.cca.on_feedback(now, marked);
-        }
-    }
-
-    /// Signal a receive-path loss to the sender's congestion controller.
-    pub fn signal_loss(&mut self, now: Time, flow: FlowId) {
-        if let Some(f) = self.flows.get_mut(&flow) {
-            f.cca.on_loss(now);
-        }
-    }
-
     /// Apply a controller-initiated ECN mark to a flow (receiver-side CCA
     /// trigger, as HostCC and CEIO's slow-path overload detection do).
     pub fn mark_flow(&mut self, now: Time, flow: FlowId) {
-        self.feedback(now, flow, true);
+        if let Some(f) = self.flows.get_mut(&flow) {
+            f.cca.on_feedback(now, true);
+        }
     }
 
     /// Install or clear the NIC DMA pacing rate (HostCC's throttle knob).
@@ -335,16 +323,20 @@ impl HostState {
     /// path-specific bookkeeping (ring slots, staging stats, policy hooks)
     /// on top.
     pub(crate) fn account_drop(&mut self, now: Time, flow: FlowId, bytes: u64, loss: bool) {
+        self.count_drop(now, flow, bytes);
+        if let Some(f) = self.flows.get_mut(&flow) {
+            f.note_drop(now, loss);
+        }
+    }
+
+    /// The machine-wide half of [`Self::account_drop`]: run totals, window
+    /// counters and trace. A handler that already holds the flow's state
+    /// calls [`FlowState::note_drop`] on it and then this, instead of
+    /// probing the flow table again.
+    pub(crate) fn count_drop(&mut self, now: Time, flow: FlowId, bytes: u64) {
         self.dropped_total += 1;
         self.meas.record_drop();
         self.trace_event(now, Some(flow.0), ceio_telemetry::TraceKind::Drop, bytes);
-        if let Some(f) = self.flows.get_mut(&flow) {
-            f.counters.dropped += 1;
-            f.accounted += 1;
-        }
-        if loss {
-            self.signal_loss(now, flow);
-        }
     }
 
     /// Reset all measurements at `now` (end of warmup).

@@ -8,8 +8,8 @@
 //! credit consumption — exactly the paper's control loop.
 
 use crate::queue::QueueId;
+use ceio_net::{FlowId, FlowMap};
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// Where the RMT engine steers a matched packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -46,38 +46,39 @@ pub struct RmtStats {
     pub rewrites_to_slow: u64,
     /// Rewrites that restored the fast path (slow/drop → fast).
     pub rewrites_to_fast: u64,
-    /// Fast → fast rewrites that moved the flow to a *different* RX queue
-    /// (RSS re-steer); same-queue fast → fast rewrites count only as
-    /// `updates`.
+    /// Fast → fast rewrites, each of which moves the flow to a different
+    /// RX queue (RSS re-steer).
     pub rewrites_queue_move: u64,
 }
 
-/// The match-action steering table, keyed by flow identifier `K`.
+/// The match-action steering table, one rule per flow.
 ///
-/// Keys are ordered (`BTreeMap`), so every iteration over installed rules
-/// is deterministic — the simulation's replay guarantee must not depend on
-/// a hash map's per-process iteration order.
+/// Rules live in a [`FlowMap`], a slot vector indexed by flow id, so
+/// `steer` finds a flow's rule with one bounds check. The map iterates in
+/// ascending id order, so every sweep over installed rules is
+/// deterministic — the simulation's replay guarantee must not depend on a
+/// hash map's per-process iteration order.
 #[derive(Debug)]
-pub struct RmtEngine<K> {
-    rules: BTreeMap<K, Rule>,
+pub struct RmtEngine {
+    rules: FlowMap<Rule>,
     default_action: SteerAction,
     stats: RmtStats,
 }
 
-impl<K: Ord + Clone> RmtEngine<K> {
+impl RmtEngine {
     /// An empty table with the given default action for unmatched packets.
-    pub fn new(default_action: SteerAction) -> RmtEngine<K> {
+    pub fn new(default_action: SteerAction) -> RmtEngine {
         RmtEngine {
-            rules: BTreeMap::new(),
+            rules: FlowMap::new(),
             default_action,
             stats: RmtStats::default(),
         }
     }
 
-    /// Install (or replace) the rule for `key`.
-    pub fn install(&mut self, key: K, action: SteerAction) {
+    /// Install (or replace) the rule for `flow`.
+    pub fn install(&mut self, flow: FlowId, action: SteerAction) {
         self.rules.insert(
-            key,
+            flow,
             Rule {
                 action,
                 hits: 0,
@@ -86,42 +87,44 @@ impl<K: Ord + Clone> RmtEngine<K> {
         );
     }
 
-    /// Remove the rule for `key`; returns whether one existed.
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.rules.remove(key).is_some()
+    /// Remove the rule for `flow`; returns whether one existed.
+    pub fn remove(&mut self, flow: &FlowId) -> bool {
+        self.rules.remove(flow).is_some()
     }
 
-    /// Rewrite the action of an existing rule. Returns `false` if absent.
-    pub fn set_action(&mut self, key: &K, action: SteerAction) -> bool {
-        match self.rules.get_mut(key) {
-            Some(r) => {
-                match (r.action, action) {
-                    (
-                        SteerAction::FastPath { queue: from },
-                        SteerAction::FastPath { queue: to },
-                    ) if from != to => self.stats.rewrites_queue_move += 1,
-                    (SteerAction::FastPath { .. }, SteerAction::FastPath { .. }) => {}
-                    (SteerAction::FastPath { .. }, _) => self.stats.rewrites_to_slow += 1,
-                    (_, SteerAction::FastPath { .. }) => self.stats.rewrites_to_fast += 1,
-                    _ => {}
-                }
-                r.action = action;
-                self.stats.updates += 1;
-                true
-            }
-            None => false,
+    /// Rewrite the rule of `flow` to `action` if it steers elsewhere.
+    /// Returns the action it replaced, or `None` when no rule is installed
+    /// or the rule already steers to `action` (then nothing is rewritten
+    /// or counted).
+    pub fn set_action(&mut self, flow: &FlowId, action: SteerAction) -> Option<SteerAction> {
+        let r = self.rules.get_mut(flow)?;
+        let prev = r.action;
+        if prev == action {
+            return None;
         }
+        match (prev, action) {
+            (SteerAction::FastPath { .. }, SteerAction::FastPath { .. }) => {
+                self.stats.rewrites_queue_move += 1
+            }
+            (SteerAction::FastPath { .. }, _) => self.stats.rewrites_to_slow += 1,
+            (_, SteerAction::FastPath { .. }) => self.stats.rewrites_to_fast += 1,
+            _ => {}
+        }
+        r.action = action;
+        self.stats.updates += 1;
+        Some(prev)
     }
 
     /// Current action of a rule, if installed (no hit counting).
-    pub fn action(&self, key: &K) -> Option<SteerAction> {
-        self.rules.get(key).map(|r| r.action)
+    pub fn action(&self, flow: &FlowId) -> Option<SteerAction> {
+        self.rules.get(flow).map(|r| r.action)
     }
 
     /// Steer one packet: returns the matched rule's action (incrementing
     /// its hit counter) or the default action.
-    pub fn steer(&mut self, key: &K) -> SteerAction {
-        match self.rules.get_mut(key) {
+    #[inline]
+    pub fn steer(&mut self, flow: &FlowId) -> SteerAction {
+        match self.rules.get_mut(flow) {
             Some(r) => {
                 r.hits += 1;
                 self.stats.matched += 1;
@@ -135,14 +138,14 @@ impl<K: Ord + Clone> RmtEngine<K> {
     }
 
     /// Lifetime hit count of a rule.
-    pub fn hits(&self, key: &K) -> u64 {
-        self.rules.get(key).map(|r| r.hits).unwrap_or(0)
+    pub fn hits(&self, flow: &FlowId) -> u64 {
+        self.rules.get(flow).map(|r| r.hits).unwrap_or(0)
     }
 
     /// Hits since the previous poll of this rule (the counter delta the
     /// flow controller consumes each polling interval).
-    pub fn poll_hits(&mut self, key: &K) -> u64 {
-        match self.rules.get_mut(key) {
+    pub fn poll_hits(&mut self, flow: &FlowId) -> u64 {
+        match self.rules.get_mut(flow) {
             Some(r) => {
                 let d = r.hits - r.hits_at_last_poll;
                 r.hits_at_last_poll = r.hits;
@@ -170,8 +173,8 @@ impl<K: Ord + Clone> RmtEngine<K> {
         &self.stats
     }
 
-    /// Iterate over installed keys in ascending key order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
+    /// Installed flows in ascending id order.
+    pub fn keys(&self) -> impl Iterator<Item = FlowId> + '_ {
         self.rules.keys()
     }
 }
@@ -179,6 +182,10 @@ impl<K: Ord + Clone> RmtEngine<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const F1: FlowId = FlowId(1);
+    const F2: FlowId = FlowId(2);
+    const F9: FlowId = FlowId(9);
 
     fn fast(queue: usize) -> SteerAction {
         SteerAction::FastPath {
@@ -189,9 +196,9 @@ mod tests {
     #[test]
     fn steer_matches_installed_rule() {
         let mut rmt = RmtEngine::new(SteerAction::Drop);
-        rmt.install(1u64, fast(3));
-        assert_eq!(rmt.steer(&1), fast(3));
-        assert_eq!(rmt.steer(&2), SteerAction::Drop);
+        rmt.install(F1, fast(3));
+        assert_eq!(rmt.steer(&F1), fast(3));
+        assert_eq!(rmt.steer(&F2), SteerAction::Drop);
         assert_eq!(rmt.stats().matched, 1);
         assert_eq!(rmt.stats().defaulted, 1);
     }
@@ -199,21 +206,27 @@ mod tests {
     #[test]
     fn set_action_rewrites_in_place() {
         let mut rmt = RmtEngine::new(SteerAction::Drop);
-        rmt.install(1u64, fast(0));
-        assert!(rmt.set_action(&1, SteerAction::SlowPath));
-        assert_eq!(rmt.steer(&1), SteerAction::SlowPath);
-        assert!(!rmt.set_action(&9, SteerAction::SlowPath));
+        rmt.install(F1, fast(0));
+        assert_eq!(rmt.set_action(&F1, SteerAction::SlowPath), Some(fast(0)));
+        assert_eq!(rmt.steer(&F1), SteerAction::SlowPath);
+        assert_eq!(rmt.set_action(&F9, SteerAction::SlowPath), None, "no rule");
+        assert_eq!(
+            rmt.set_action(&F1, SteerAction::SlowPath),
+            None,
+            "same action"
+        );
+        assert_eq!(rmt.action(&F1), Some(SteerAction::SlowPath));
         assert_eq!(rmt.stats().updates, 1);
     }
 
     #[test]
     fn rewrite_direction_counters() {
         let mut rmt = RmtEngine::new(SteerAction::Drop);
-        rmt.install(1u64, fast(0));
-        rmt.set_action(&1, SteerAction::SlowPath);
-        rmt.set_action(&1, fast(1));
+        rmt.install(F1, fast(0));
+        rmt.set_action(&F1, SteerAction::SlowPath);
+        rmt.set_action(&F1, fast(1));
         // Fast→fast queue change is neither direction: it is a queue move.
-        rmt.set_action(&1, fast(2));
+        rmt.set_action(&F1, fast(2));
         assert_eq!(rmt.stats().rewrites_to_slow, 1);
         assert_eq!(rmt.stats().rewrites_to_fast, 1);
         assert_eq!(rmt.stats().rewrites_queue_move, 1);
@@ -223,64 +236,76 @@ mod tests {
     #[test]
     fn queue_move_accounting() {
         let mut rmt = RmtEngine::new(SteerAction::Drop);
-        rmt.install(1u64, fast(0));
-        // Same-queue fast→fast rewrite: an update, not a move.
-        rmt.set_action(&1, fast(0));
+        rmt.install(F1, fast(0));
+        // A same-queue fast→fast rewrite rewrites nothing: no update,
+        // no move.
+        assert_eq!(rmt.set_action(&F1, fast(0)), None);
         assert_eq!(rmt.stats().rewrites_queue_move, 0);
-        assert_eq!(rmt.stats().updates, 1);
+        assert_eq!(rmt.stats().updates, 0);
         // Distinct-queue fast→fast rewrites count, each time.
-        rmt.set_action(&1, fast(2));
-        rmt.set_action(&1, fast(1));
+        rmt.set_action(&F1, fast(2));
+        rmt.set_action(&F1, fast(1));
         assert_eq!(rmt.stats().rewrites_queue_move, 2);
         // The rule keeps steering to the latest queue.
-        assert_eq!(rmt.steer(&1), fast(1));
+        assert_eq!(rmt.steer(&F1), fast(1));
         // Leaving and re-entering the fast path is directional traffic,
         // not a move — even when the queue differs across the detour.
-        rmt.set_action(&1, SteerAction::SlowPath);
-        rmt.set_action(&1, fast(3));
+        rmt.set_action(&F1, SteerAction::SlowPath);
+        rmt.set_action(&F1, fast(3));
         assert_eq!(rmt.stats().rewrites_queue_move, 2);
         assert_eq!(rmt.stats().rewrites_to_slow, 1);
         assert_eq!(rmt.stats().rewrites_to_fast, 1);
         // Slow → drop → slow never touches any fast counter.
-        rmt.set_action(&1, SteerAction::Drop);
-        rmt.set_action(&1, SteerAction::SlowPath);
+        rmt.set_action(&F1, SteerAction::Drop);
+        rmt.set_action(&F1, SteerAction::SlowPath);
         assert_eq!(rmt.stats().rewrites_to_slow, 2); // fast(3) → Drop above
         assert_eq!(rmt.stats().rewrites_to_fast, 1);
         assert_eq!(rmt.stats().rewrites_queue_move, 2);
-        assert_eq!(rmt.stats().updates, 7);
+        assert_eq!(rmt.stats().updates, 6);
     }
 
     #[test]
     fn hit_counters_and_poll_deltas() {
         let mut rmt = RmtEngine::new(SteerAction::Drop);
-        rmt.install(1u64, SteerAction::SlowPath);
+        rmt.install(F1, SteerAction::SlowPath);
         for _ in 0..5 {
-            rmt.steer(&1);
+            rmt.steer(&F1);
         }
-        assert_eq!(rmt.hits(&1), 5);
-        assert_eq!(rmt.poll_hits(&1), 5);
-        rmt.steer(&1);
-        assert_eq!(rmt.poll_hits(&1), 1);
-        assert_eq!(rmt.poll_hits(&1), 0);
-        assert_eq!(rmt.hits(&1), 6);
+        assert_eq!(rmt.hits(&F1), 5);
+        assert_eq!(rmt.poll_hits(&F1), 5);
+        rmt.steer(&F1);
+        assert_eq!(rmt.poll_hits(&F1), 1);
+        assert_eq!(rmt.poll_hits(&F1), 0);
+        assert_eq!(rmt.hits(&F1), 6);
     }
 
     #[test]
     fn remove_uninstalls() {
         let mut rmt = RmtEngine::new(SteerAction::Drop);
-        rmt.install(1u64, SteerAction::SlowPath);
-        assert!(rmt.remove(&1));
-        assert!(!rmt.remove(&1));
-        assert_eq!(rmt.steer(&1), SteerAction::Drop);
+        rmt.install(F1, SteerAction::SlowPath);
+        assert!(rmt.remove(&F1));
+        assert!(!rmt.remove(&F1));
+        assert_eq!(rmt.steer(&F1), SteerAction::Drop);
         assert!(rmt.is_empty());
+    }
+
+    #[test]
+    fn keys_ascend_whatever_the_install_order() {
+        let mut rmt = RmtEngine::new(SteerAction::Drop);
+        for id in [9u32, 2, 5, 0] {
+            rmt.install(FlowId(id), SteerAction::SlowPath);
+        }
+        rmt.remove(&FlowId(5));
+        assert_eq!(rmt.keys().collect::<Vec<_>>(), [0, 2, 9].map(FlowId));
+        assert_eq!(rmt.len(), 3);
     }
 
     #[test]
     fn reinstall_resets_counters() {
         let mut rmt = RmtEngine::new(SteerAction::Drop);
-        rmt.install(1u64, SteerAction::SlowPath);
-        rmt.steer(&1);
-        rmt.install(1u64, fast(0));
-        assert_eq!(rmt.hits(&1), 0);
+        rmt.install(F1, SteerAction::SlowPath);
+        rmt.steer(&F1);
+        rmt.install(F1, fast(0));
+        assert_eq!(rmt.hits(&F1), 0);
     }
 }
