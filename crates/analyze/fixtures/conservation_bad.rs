@@ -42,7 +42,7 @@ impl CreditManager {
     }
 
     // no finding: test-gated fault hooks exist to violate conservation.
-    #[cfg(any(test, feature = "chaos"))]
+    #[cfg(any(test, feature = "test-hooks"))]
     pub fn leak_credit_for_tests(&mut self) {
         self.outstanding += 1;
     }

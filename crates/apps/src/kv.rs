@@ -22,10 +22,9 @@
 use ceio_cpu::{AppWork, Application};
 use ceio_net::Packet;
 use ceio_sim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// KV server parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KvConfig {
     /// Pre-populated entries.
     pub entries: u64,
@@ -53,7 +52,7 @@ impl Default for KvConfig {
 }
 
 /// Operation statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct KvStats {
     /// GET requests served.
     pub gets: u64,

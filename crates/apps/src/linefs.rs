@@ -14,10 +14,9 @@
 use ceio_cpu::{AppWork, Application};
 use ceio_net::Packet;
 use ceio_sim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// DFS server parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LineFsConfig {
     /// Per-packet protocol handling compute (header parse, page lookup).
     pub per_packet: Duration,
@@ -39,7 +38,7 @@ impl Default for LineFsConfig {
 }
 
 /// Server statistics / ledger.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct LineFsStats {
     /// Payload bytes written into the page store.
     pub bytes_written: u64,

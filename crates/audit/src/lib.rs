@@ -24,14 +24,15 @@
 //! event and accumulates structured [`Violation`]s (event index, invariant
 //! name, state snapshot) instead of panicking, and the global audit-mode
 //! switch ([`enabled`]). The concrete invariant implementations live next
-//! to the state they check (`ceio_core::audit`, `ceio_host::audit`, both
-//! behind the `audit` cargo feature); the bounded model checkers that
-//! exhaustively verify the SW-ring and credit-ledger state machines are in
-//! this crate's `tests/`.
+//! to the state they check (`ceio_host::audit` and `CeioPolicy`'s
+//! `audit_check` in `ceio-core`, both compiled into every build); the
+//! bounded model checkers that exhaustively verify the SW-ring and
+//! credit-ledger state machines are in this crate's `tests/`.
 //!
-//! Audit mode costs nothing unless two switches are on: the `audit` cargo
-//! feature (compiles the hooks) and the runtime flag (`CEIO_AUDIT=1` in
-//! the environment, or [`set_enabled`]`(true)`).
+//! Audit mode is armed only at run time: by `CEIO_AUDIT=1` in the
+//! environment or [`set_enabled`]`(true)` for every machine built
+//! afterwards, or per machine by `Machine::arm_audit`. An unarmed machine
+//! holds no auditor.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -15,10 +15,9 @@
 use ceio_host::{HostState, IoPolicy, SteerDecision};
 use ceio_net::{FlowId, Packet};
 use ceio_sim::{Bandwidth, Duration, Time};
-use serde::{Deserialize, Serialize};
 
 /// HostCC tuning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostCcConfig {
     /// Signal sampling period of the kernel module. HostCC's reaction can
     /// never be faster than this (its "slow response").
@@ -60,7 +59,7 @@ impl Default for HostCcConfig {
 }
 
 /// HostCC statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct HostCcStats {
     /// Samples that found congestion.
     pub congested_samples: u64,

@@ -20,10 +20,9 @@
 use ceio_host::{HostState, IoPolicy, SteerDecision};
 use ceio_net::{FlowId, Packet};
 use ceio_sim::Time;
-use serde::{Deserialize, Serialize};
 
 /// ShRing tuning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShRingConfig {
     /// Shared ring capacity in entries; `entries × buf_bytes` must stay
     /// below the DDIO-reachable LLC capacity for the scheme to work.
@@ -43,7 +42,7 @@ impl Default for ShRingConfig {
 }
 
 /// ShRing statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct ShRingStats {
     /// Packets admitted unmarked.
     pub admitted: u64,

@@ -40,9 +40,9 @@
 //! than total ways) exits 2.
 //!
 //! `--fault-plan` arms a deterministic fault-injection schedule (canned
-//! name or `key=value` spec; see `ceio-chaos`) seeded by `--seed`, so a
-//! faulty run's trace and metrics are exactly reproducible. A malformed
-//! spec exits 2.
+//! name or `key=value` spec; see `ceio-chaos`). A malformed spec exits 2.
+//! `--seed` seeds both the host RNG and the fault plan, so a run's trace
+//! and metrics are exactly reproducible from its flags.
 //!
 //! Both exports are validated with the telemetry layer's own JSON checker
 //! before they are written; an invalid document is a bug and exits 1.

@@ -15,9 +15,9 @@
 //!
 //! `--fault-plan` accepts a canned plan name (`smoke`, `credit-storm`,
 //! `dma-flaky`, `nic-pressure`) or a comma-separated `key=value` spec
-//! (`dma-write-fault=0.05,consumer-pause=10us`); `--seed` fixes the
-//! injection RNG so two invocations with the same flags emit
-//! byte-identical CSV. A malformed spec exits 2.
+//! (`dma-write-fault=0.05,consumer-pause=10us`). A malformed spec exits 2.
+//! `--seed` seeds both the host RNG (traffic arrivals) and the injection
+//! RNG; two invocations with the same flags emit byte-identical CSV.
 //!
 //! `--llc-model` selects the LLC model backing the memory controller
 //! (`pool` is the seed default; `setassoc` is the way-partitioned

@@ -66,7 +66,8 @@ pub struct RunSpec {
     pub millis: u64,
     /// Warmup span in ms (`--warmup-ms`, default 1).
     pub warmup_ms: u64,
-    /// Fault-injection seed (`--seed`, default 0).
+    /// Run seed (`--seed`, default 0). It seeds the fault plan and, when
+    /// given, replaces the host RNG seed in `host.seed`.
     pub seed: u64,
     /// Armed fault plan (`--fault-plan`, seeded by `--seed`).
     pub plan: Option<FaultPlan>,
@@ -95,7 +96,7 @@ impl RunSpec {
         let mut scenario = ScenarioKind::Kv;
         let mut millis = default_millis;
         let mut warmup_ms = 1;
-        let mut seed = 0;
+        let mut seed = None;
         let mut plan_spec = None;
         let mut queues = 1;
         let mut ddio_ways = None;
@@ -115,7 +116,7 @@ impl RunSpec {
                     warmup_ms =
                         parse_positive(flag, value, "the measurement needs a warmed-up host")?
                 }
-                "--seed" => seed = parse_number(flag, value)?,
+                "--seed" => seed = Some(parse_number(flag, value)?),
                 "--fault-plan" => plan_spec = Some(flag_value(flag, value)?),
                 "--queues" => queues = parse_queues(value)?,
                 "--ddio-ways" => ddio_ways = Some(parse_ddio_ways(value)?),
@@ -134,8 +135,9 @@ impl RunSpec {
                 }
             }
         }
-        let plan = resolve_fault_plan(plan_spec, seed)?;
+        let plan = resolve_fault_plan(plan_spec, seed.unwrap_or(0))?;
         let mut host = workloads::contended_host(Transport::Dpdk);
+        host.seed = seed.unwrap_or(host.seed);
         host.sample_window = Duration::micros(100);
         host.num_queues = queues;
         apply_llc_flags(&mut host, ddio_ways, llc_model)?;
@@ -144,7 +146,7 @@ impl RunSpec {
             scenario,
             millis,
             warmup_ms,
-            seed,
+            seed: seed.unwrap_or(0),
             plan,
             plan_label: plan_spec.unwrap_or("none").to_string(),
             host,
@@ -341,6 +343,7 @@ mod tests {
             assert_eq!(s.millis, default_millis);
             assert_eq!(s.warmup_ms, 1);
             assert_eq!(s.seed, 0);
+            assert_eq!(s.host.seed, HostConfig::default().seed);
             assert!(s.plan.is_none());
             assert_eq!(s.plan_label, "none");
             assert_eq!(s.host.num_queues, 1);
@@ -383,6 +386,8 @@ mod tests {
         assert_eq!(s.policy, PolicyKind::ShRing);
         assert_eq!(s.scenario, ScenarioKind::Burst);
         assert_eq!((s.millis, s.warmup_ms, s.seed), (1, 2, 42));
+        // --seed seeds the host RNG as well as the plan.
+        assert_eq!(s.host.seed, 42);
         // The plan is seeded by --seed even when --seed comes after it.
         assert_eq!(
             s.plan,

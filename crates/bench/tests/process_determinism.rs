@@ -179,6 +179,19 @@ fn different_scenarios_actually_differ() {
     assert_ne!(kv, mixed, "kv and mixed scenarios produced identical CSV");
 }
 
+#[test]
+fn different_seeds_actually_differ() {
+    // `--seed` must pick the run, not only a fault plan's injections: with
+    // no plan armed, two seeds still draw different Poisson arrivals.
+    let seven = trace_stdout(&["--millis", "2", "--seed", "7"]);
+    let eight = trace_stdout(&["--millis", "2", "--seed", "8"]);
+    assert_ne!(
+        seven, eight,
+        "--seed 7 and --seed 8 produced identical CSV — the seed never \
+         reached the host"
+    );
+}
+
 /// Count of `\n`-terminated lines, for the header-plus-samples check.
 trait LinesCount {
     fn lines_count(&self) -> usize;

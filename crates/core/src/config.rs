@@ -1,10 +1,9 @@
 //! CEIO configuration and ablation switches.
 
 use ceio_sim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the CEIO runtime.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CeioConfig {
     /// Total credits, `C_total = Size_LLC / Size_buf` (Eq. 1), where
     /// `Size_LLC` is the *DDIO partition* of the selected LLC model: the
@@ -72,12 +71,7 @@ pub struct CeioConfig {
     /// Eq. 1 partition per queue plus a global slack pool the controller
     /// rebalances each poll. `1` (the default) keeps the flat single-queue
     /// ledger and is bit-identical to the pre-sharding pipeline.
-    #[serde(default = "default_num_queues")]
     pub num_queues: usize,
-}
-
-fn default_num_queues() -> usize {
-    1
 }
 
 impl Default for CeioConfig {
@@ -97,7 +91,7 @@ impl Default for CeioConfig {
             degraded_enter_fraction: 0.9,
             degraded_exit_fraction: 0.5,
             degraded_exit_polls: 3,
-            num_queues: default_num_queues(),
+            num_queues: 1,
         }
     }
 }

@@ -21,10 +21,9 @@ use ceio_net::{FlowId, FlowMap, Packet};
 use ceio_nic::{QueueId, SteerAction};
 use ceio_sim::{Duration, Time};
 use ceio_telemetry::SnapshotBuilder;
-use serde::{Deserialize, Serialize};
 
 /// MPQ tuning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MpqConfig {
     /// Total fast-path admission budget (same Eq. 1 sizing as CEIO so the
     /// comparison isolates the *scheduling* policy).
@@ -67,7 +66,7 @@ struct FlowPrio {
 }
 
 /// MPQ statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct MpqStats {
     /// Priority demotions.
     pub demotions: u64,

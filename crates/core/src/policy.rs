@@ -1095,7 +1095,6 @@ impl IoPolicy for CeioPolicy {
     /// Audit the CEIO-internal ledgers (the state only this policy can
     /// see): Eq. 1 conservation, no-overdraft, and consistency of the
     /// insufficient set `I` with the owed-credit ledger.
-    #[cfg(feature = "audit")]
     fn audit_check(
         &self,
         _st: &HostState,

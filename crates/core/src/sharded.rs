@@ -465,10 +465,10 @@ impl ShardedCredits {
     /// Deliberately leak one credit from partition `q`'s free pool without
     /// a balancing entry — a per-partition Eq. 1 violation (see
     /// [`CreditManager::leak_credit_for_tests`]). Only compiled in test
-    /// builds or under the `audit` feature; the bounded model checker in
+    /// builds or under the `test-hooks` feature; the bounded model checker in
     /// `crates/audit` uses it to prove the hierarchical conservation check
     /// catches real bugs.
-    #[cfg(any(test, feature = "audit"))]
+    #[cfg(any(test, feature = "test-hooks"))]
     pub fn leak_partition_credit_for_tests(&mut self, q: usize) {
         self.parts[q].leak_credit_for_tests();
     }
@@ -476,8 +476,8 @@ impl ShardedCredits {
     /// Deliberately mint one credit into the global pool out of thin air —
     /// a hierarchy-level conservation violation (`Σ total_q + global_free`
     /// exceeds `C_total`). Only compiled in test builds or under the
-    /// `audit` feature.
-    #[cfg(any(test, feature = "audit"))]
+    /// `test-hooks` feature.
+    #[cfg(any(test, feature = "test-hooks"))]
     pub fn mint_global_credit_for_tests(&mut self) {
         self.global_free += 1;
     }

@@ -13,11 +13,10 @@
 use ceio_net::FlowId;
 use ceio_sim::{Duration, Time};
 use ceio_telemetry::{TraceEvent, TraceKind, TraceRing};
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Per-flow credit state.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 struct FlowCredits {
     credits: u64,
     /// Debts to other flows: `owed[j] = o_j^i` (this flow owes `j`).
@@ -25,7 +24,7 @@ struct FlowCredits {
 }
 
 /// Manager statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct CreditStats {
     /// Successful credit consumptions (fast-path admissions).
     pub consumed: u64,
@@ -649,19 +648,19 @@ impl CreditManager {
     /// Deliberately leak one credit from the free pool **without**
     /// adjusting any other account — a conservation (Eq. 1) violation.
     ///
-    /// Only compiled in test builds or under the `audit` feature; the
+    /// Only compiled in test builds or under the `test-hooks` feature; the
     /// audit test suite uses it to prove the invariant layer catches real
     /// bugs (a check that can never fire verifies nothing). Release
-    /// builds without `audit` cannot leak or mint credits.
-    #[cfg(any(test, feature = "audit"))]
+    /// builds without `test-hooks` cannot leak or mint credits.
+    #[cfg(any(test, feature = "test-hooks"))]
     pub fn leak_credit_for_tests(&mut self) {
         self.free_pool = self.free_pool.saturating_sub(1);
     }
 
     /// Deliberately mint one credit for flow `f` out of thin air (an
     /// overdraft-enabling mutation). Only compiled in test builds or
-    /// under the `audit` feature.
-    #[cfg(any(test, feature = "audit"))]
+    /// under the `test-hooks` feature.
+    #[cfg(any(test, feature = "test-hooks"))]
     pub fn mint_credit_for_tests(&mut self, f: FlowId) {
         if let Some(fc) = self.flows.get_mut(&f) {
             fc.credits += 1;

@@ -1,10 +1,9 @@
 //! A polling CPU core's execution timeline.
 
 use ceio_sim::{Duration, Time};
-use serde::Serialize;
 
 /// Per-core statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct CoreStats {
     /// Packets fully processed by this core.
     pub packets: u64,

@@ -2,10 +2,9 @@
 //! one per flow, polling DPDK-style.
 
 use ceio_sim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the CPU model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuParams {
     /// Per-packet driver overhead: descriptor parse, ring bookkeeping,
     /// buffer accounting. Paid per packet regardless of app.

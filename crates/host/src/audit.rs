@@ -1,4 +1,7 @@
-//! Machine-level invariant auditing (the `audit` cargo feature).
+//! Machine-level invariant auditing, compiled into every build and armed
+//! at run time: by `CEIO_AUDIT=1` (or `ceio_audit::set_enabled`) when a
+//! machine is built, or per machine by `Machine::arm_audit`. An unarmed
+//! machine holds `None` and allocates nothing for it.
 //!
 //! [`HostAuditor`] runs the machine's invariant catalog after every
 //! simulation event and accumulates structured [`ceio_audit::Violation`]s
@@ -247,6 +250,7 @@ impl HostAuditor {
     /// machine invariant, then the policy's [`IoPolicy::audit_check`] hook.
     ///
     /// [`IoPolicy::audit_check`]: crate::policy::IoPolicy::audit_check
+    #[inline(never)]
     pub fn after_event<P: IoPolicy + ?Sized>(
         &mut self,
         now: Time,

@@ -7,10 +7,9 @@ use ceio_net::NetParams;
 use ceio_nic::NicParams;
 use ceio_pcie::PcieParams;
 use ceio_sim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one simulated receive host.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostConfig {
     /// Memory hierarchy parameters.
     pub mem: MemParams,
@@ -42,14 +41,9 @@ pub struct HostConfig {
     /// queue owns an independent DMA issue pipeline and staging partition;
     /// `1` (the default) reproduces the single-queue pipeline exactly.
     /// Must be non-zero — [`HostConfig::validate`] rejects `0`.
-    #[serde(default = "default_num_queues")]
     pub num_queues: usize,
     /// RNG seed for the whole run.
     pub seed: u64,
-}
-
-fn default_num_queues() -> usize {
-    1
 }
 
 impl Default for HostConfig {
@@ -66,7 +60,7 @@ impl Default for HostConfig {
             sample_window: Duration::millis(1),
             copy_ns_per_kib: 50,
             num_cores: None,
-            num_queues: default_num_queues(),
+            num_queues: 1,
             seed: 0xCE10,
         }
     }

@@ -27,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-#[cfg(feature = "audit")]
 pub mod audit;
 pub mod config;
 pub mod flowstate;
@@ -39,7 +38,6 @@ pub mod scope;
 pub mod slab;
 pub mod telemetry;
 
-#[cfg(feature = "audit")]
 pub use audit::HostAuditor;
 pub use config::HostConfig;
 pub use flowstate::{FlowState, ReadyPkt, SlowPkt};

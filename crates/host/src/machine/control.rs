@@ -16,7 +16,6 @@ use ceio_net::{Dctcp, FlowId, FlowSpec, ScenarioEvent, TrafficGen};
 use ceio_nic::QueueId;
 use ceio_sim::{Duration, EventQueue, Simulation, Time};
 use ceio_telemetry::TraceKind;
-use serde::Serialize;
 
 use super::{Event, Machine};
 
@@ -25,7 +24,7 @@ use super::{Event, Machine};
 /// [`arm_chaos`] and healthy queues never trip it); exported through the
 /// telemetry snapshot so failover experiments can assert detection,
 /// re-steer, and recovery all ran.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct FailoverStats {
     /// Watchdog ticks processed.
     pub watchdog_polls: u64,

@@ -17,7 +17,6 @@ use crate::slab::DmaId;
 use ceio_pcie::DmaError;
 use ceio_sim::{Duration, EventQueue, Time};
 use ceio_telemetry::{Stage, TraceKind};
-use serde::Serialize;
 
 use super::{Event, HostState, Machine};
 
@@ -25,7 +24,7 @@ use super::{Event, HostState, Machine};
 /// since the substrate never fails on its own;
 /// exported through the telemetry snapshot so chaos experiments can assert
 /// that recovery actually ran.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct RecoveryStats {
     /// DMA write issues retried after a transient fault.
     pub dma_write_retries: u64,

@@ -54,7 +54,6 @@ use ceio_net::{FlowClass, FlowId, FlowMap, FlowSpec, IngressLink, Scenario, Scen
 use ceio_nic::{rss_queue, ArmCore, OnboardMemory, QueueId, RmtEngine, SteerAction};
 use ceio_pcie::DmaEngine;
 use ceio_sim::{Bandwidth, EventQueue, Histogram, Model, Rng, Simulation, Time};
-use serde::Serialize;
 use std::collections::VecDeque;
 
 /// Machine events.
@@ -131,7 +130,7 @@ pub type AppFactory = Box<dyn FnMut(&FlowSpec) -> Box<dyn Application>>;
 /// host state after every dispatched event (the telemetry snapshot reads
 /// [`HostState`] and has no access to the `Simulation` that owns the
 /// queue). Exported as `ceio_sim_*` metrics.
-#[derive(Debug, Default, Clone, Copy, Serialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct EngineStats {
     /// Events dispatched by the engine so far (`ceio_sim_events_total`).
     pub events_total: u64,
@@ -265,8 +264,8 @@ impl HostState {
 
     /// Clear a flow's busy bit whatever its queues hold — the missed
     /// busy-bit set the audit layer must catch. Only compiled in test
-    /// builds or under the `audit` feature.
-    #[cfg(any(test, feature = "audit"))]
+    /// builds or under the `test-hooks` feature.
+    #[cfg(any(test, feature = "test-hooks"))]
     pub fn clear_busy_for_tests(&mut self, flow: FlowId) {
         if let Some(b) = self.flow_busy.get_mut(flow.0 as usize) {
             *b = false;
@@ -416,7 +415,6 @@ pub struct Machine<P: IoPolicy> {
     slow_batch: Vec<SlowPkt>,
     /// The invariant auditor, when audit mode is armed (see
     /// [`crate::audit`]). `None` costs one pointer-width test per event.
-    #[cfg(feature = "audit")]
     pub auditor: Option<crate::audit::HostAuditor>,
 }
 
@@ -495,7 +493,6 @@ impl<P: IoPolicy> Machine<P> {
             // Arm the auditor at build time when the runtime switch is on
             // (`CEIO_AUDIT=1` or `ceio_audit::set_enabled(true)`); tests
             // can also arm it explicitly via [`Machine::arm_audit`].
-            #[cfg(feature = "audit")]
             auditor: ceio_audit::enabled().then(crate::audit::HostAuditor::new),
         });
         for (idx, (at, _)) in sim.model.st.scenario.iter().enumerate() {
@@ -538,7 +535,6 @@ pub fn run_to_report<P: IoPolicy>(
     sim.model.st.report(t_end, &name)
 }
 
-#[cfg(feature = "audit")]
 impl<P: IoPolicy> Machine<P> {
     /// Install the invariant auditor regardless of the global runtime
     /// switch (test harness entry point).
@@ -556,8 +552,9 @@ impl<P: IoPolicy> Model for Machine<P> {
     type Event = Event;
 
     fn handle(&mut self, now: Time, event: Event, queue: &mut EventQueue<Event>) {
-        #[cfg(feature = "audit")]
-        let label = event.label();
+        // The label is computed only for an armed auditor, so the unarmed
+        // path pays one `Option` test here and one after dispatch.
+        let audit_label = self.auditor.as_ref().map(|_| event.label());
         match event {
             Event::ScenarioStep(idx) => self.scenario_step(now, idx, queue),
             Event::Emit { flow, epoch } => self.on_emit(now, flow, epoch, queue),
@@ -607,8 +604,7 @@ impl<P: IoPolicy> Model for Machine<P> {
         self.st.engine.events_total = queue.dispatched_total();
         self.st.engine.queue_peak = queue.peak_pending() as u64;
         self.st.engine.timers_cancelled = queue.cancelled_total();
-        #[cfg(feature = "audit")]
-        if let Some(aud) = self.auditor.as_mut() {
+        if let (Some(aud), Some(label)) = (self.auditor.as_mut(), audit_label) {
             aud.after_event(now, label, &self.st, &self.policy);
         }
     }

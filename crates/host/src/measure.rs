@@ -4,7 +4,6 @@
 
 use ceio_net::FlowClass;
 use ceio_sim::{Duration, Histogram, Time, TimeSeries};
-use serde::Serialize;
 
 /// Per-class accumulators for the current window.
 #[derive(Debug, Default, Clone, Copy)]
@@ -14,7 +13,7 @@ struct WindowAcc {
 }
 
 /// One closed measurement window for a flow class.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ClassSample {
     /// Window end.
     pub at: Time,
@@ -217,7 +216,7 @@ impl Measurements {
 }
 
 /// Final results of one simulation run, extracted by the experiment harness.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Policy under test.
     pub policy: String,

@@ -184,11 +184,10 @@ pub trait IoPolicy {
         (Vec::new(), 0)
     }
 
-    /// Audit hook (the `audit` feature): verify policy-internal invariants
-    /// — state the machine cannot see, such as the CEIO credit ledger —
-    /// after a handled event, reporting violations into the shared `sink`.
-    /// Called only while audit mode is armed; the default checks nothing.
-    #[cfg(feature = "audit")]
+    /// Audit hook: verify policy-internal invariants — state the machine
+    /// cannot see, such as the CEIO credit ledger — after a handled event,
+    /// reporting violations into the shared `sink`. Called only while an
+    /// auditor is armed; the default checks nothing.
     fn audit_check(
         &self,
         st: &HostState,

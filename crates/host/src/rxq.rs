@@ -17,7 +17,6 @@
 use ceio_mem::BufferId;
 use ceio_net::Packet;
 use ceio_sim::{Time, TimerToken};
-use serde::Serialize;
 use std::collections::VecDeque;
 
 /// A packet waiting in NIC staging for a DMA issue slot.
@@ -36,7 +35,7 @@ pub(crate) struct PendingDma {
 
 /// Per-queue counters exported through the telemetry snapshot with a
 /// `queue="k"` label.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct RxQueueStats {
     /// Packets enqueued into this queue's staging FIFO.
     pub enqueued: u64,

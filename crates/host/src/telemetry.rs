@@ -7,8 +7,8 @@
 //!   every component's `*Stats` struct (ingress, RMT, on-NIC memory, ARM
 //!   core, DMA, LLC/IIO/DRAM, CPU cores), the machine's own counters and
 //!   latency histograms, the measurement time series, the policy's private
-//!   metrics, and — when the `audit` feature is armed — the invariant
-//!   auditor's report.
+//!   metrics, and — when an auditor is armed — the invariant auditor's
+//!   report.
 //! * Event tracing — armed at runtime by [`Machine::arm_trace`]: a
 //!   per-machine [`TraceRing`] plus a per-flow [`BreakdownSet`], fed by
 //!   hooks in the event handlers. Until armed, [`HostState::trace_event`]
@@ -653,7 +653,6 @@ impl<P: IoPolicy> Machine<P> {
         );
 
         // Audit outcome, when the auditor is armed.
-        #[cfg(feature = "audit")]
         if let Some(rep) = self.audit_report() {
             b.counter(
                 "ceio_audit_violations_total",

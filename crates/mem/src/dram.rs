@@ -8,10 +8,9 @@
 //! CPU-bypass flows lose the memory bandwidth those fills consume.
 
 use ceio_sim::{Bandwidth, Counter, Duration, Time};
-use serde::Serialize;
 
 /// Statistics exported by the DRAM model.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct DramStats {
     /// Total bytes served (reads + writes).
     pub bytes_served: u64,

@@ -11,10 +11,8 @@
 //!    by the time occupancy is visibly elevated, the LLC is already
 //!    thrashing — the "slow response" limitation (§2.3).
 
-use serde::Serialize;
-
 /// Statistics exported by the IIO buffer.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct IioStats {
     /// Accepted pushes.
     pub accepted: u64,

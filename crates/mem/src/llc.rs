@@ -21,19 +21,17 @@
 //!   and moves its node to the tail, so list order *is* sequence order and
 //!   the LRU victim is always the head.
 
-use serde::Serialize;
-
 use crate::setassoc::{IdIndex, EMPTY};
 
 /// Identifier of one I/O buffer resident in (or evicted from) the LLC.
 ///
 /// The host machine allocates these densely; the LLC only needs them to be
 /// unique among in-flight buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BufferId(pub u64);
 
 /// Counters exported by the LLC model.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct LlcStats {
     /// DMA insertions into the I/O partition.
     pub insertions: u64,

@@ -3,12 +3,11 @@
 //! DDR4-3200 on 8 channels, 2 KB I/O buffers.
 
 use ceio_sim::{Bandwidth, Duration};
-use serde::{Deserialize, Serialize};
 
 use crate::setassoc::{SetAssocParams, LINE_BYTES};
 
 /// Which LLC model backs the memory controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LlcModelKind {
     /// Seed flat LRU byte pool over the DDIO partition. The default —
     /// golden CSVs are pinned against this model.
@@ -21,7 +20,7 @@ pub enum LlcModelKind {
 }
 
 /// Configuration of the host memory hierarchy model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemParams {
     /// Total LLC size in bytes (sets the set count of the set-associative
     /// model; reporting-only for the pool, whose I/O slice is `ddio_bytes`).
@@ -44,36 +43,19 @@ pub struct MemParams {
     /// in `LlcStats::bypasses`.
     pub ddio_enabled: bool,
     /// LLC associativity: total ways per set (§4.1 testbed: 12).
-    #[serde(default = "default_total_ways")]
     pub total_ways: u32,
     /// Ways per set reachable by DDIO (§4.1 testbed: 6 of 12).
-    #[serde(default = "default_ddio_ways")]
     pub ddio_ways: u32,
     /// Which LLC model to build. `Pool` (default) preserves seed behaviour
     /// bit-for-bit; `SetAssoc` enables the way-partitioned model.
-    #[serde(default)]
     pub llc_model: LlcModelKind,
     /// Set-associative model only: application antagonist line touches per
     /// I/O insertion (0 disables the antagonist entirely).
-    #[serde(default = "default_app_lines_per_insert")]
     pub app_lines_per_insert: u32,
     /// Set-associative model only: how many of the top DDIO ways the
     /// antagonist may also allocate into. 0 (default) keeps the application
     /// and I/O partitions disjoint.
-    #[serde(default)]
     pub app_overlap_ways: u32,
-}
-
-fn default_total_ways() -> u32 {
-    12
-}
-
-fn default_ddio_ways() -> u32 {
-    6
-}
-
-fn default_app_lines_per_insert() -> u32 {
-    4
 }
 
 impl Default for MemParams {
@@ -97,10 +79,10 @@ impl Default for MemParams {
             // the HostCC signal responsive without being instantaneous.
             iio_capacity_bytes: 128 << 10,
             ddio_enabled: true,
-            total_ways: default_total_ways(),
-            ddio_ways: default_ddio_ways(),
+            total_ways: 12,
+            ddio_ways: 6,
             llc_model: LlcModelKind::default(),
-            app_lines_per_insert: default_app_lines_per_insert(),
+            app_lines_per_insert: 4,
             app_overlap_ways: 0,
         }
     }

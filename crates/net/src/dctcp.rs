@@ -12,10 +12,9 @@
 //! the demanded rate otherwise, and a multiplicative cut on packet loss.
 
 use ceio_sim::{Bandwidth, Duration, Time};
-use serde::Serialize;
 
 /// Controller statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct DctcpStats {
     /// Multiplicative-decrease events driven by ECN.
     pub ecn_reductions: u64,

@@ -1,15 +1,14 @@
 //! Flow identity and specification.
 
 use ceio_sim::{Bandwidth, Time};
-use serde::{Deserialize, Serialize};
 
 /// Flow identifier (dense per experiment; doubles as the RMT match key and
 /// the RX queue index for flow-per-queue setups).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub u32);
 
 /// The two I/O flow classes of §2.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowClass {
     /// DDIO-accelerated, CPU-polled flows (RPC, NF processing, databases):
     /// NIC → LLC → CPU.
@@ -20,7 +19,7 @@ pub enum FlowClass {
 }
 
 /// Static description of one flow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowSpec {
     /// Identity.
     pub id: FlowId,

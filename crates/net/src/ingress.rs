@@ -8,10 +8,9 @@
 
 use crate::params::NetParams;
 use ceio_sim::{Duration, Time};
-use serde::Serialize;
 
 /// Ingress link statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct IngressStats {
     /// Packets admitted to the port queue.
     pub admitted: u64,

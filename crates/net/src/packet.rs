@@ -8,14 +8,13 @@
 
 use crate::flow::FlowId;
 use ceio_sim::Time;
-use serde::Serialize;
 
 /// Globally unique packet identifier (dense, allocated by the generator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PacketId(pub u64);
 
 /// One packet in flight through the I/O system.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Packet {
     /// Unique identity.
     pub id: PacketId,

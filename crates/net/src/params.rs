@@ -1,10 +1,9 @@
 //! Network parameters, defaulted to the paper's 200 Gbps testbed (§2.3).
 
 use ceio_sim::{Bandwidth, Duration};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the network substrate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetParams {
     /// Receiver link capacity shared by all flows.
     pub link_bandwidth: Bandwidth,

@@ -14,10 +14,9 @@
 
 use crate::flow::{FlowClass, FlowId, FlowSpec};
 use ceio_sim::{Bandwidth, Time};
-use serde::Serialize;
 
 /// One scripted change to the set of active flows.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub enum ScenarioEvent {
     /// Begin a new flow.
     Start(FlowSpec),
@@ -30,7 +29,7 @@ pub enum ScenarioEvent {
 }
 
 /// A full scripted scenario: initial flows plus timed events.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Scenario {
     /// Timed events, sorted by time.
     pub events: Vec<(Time, ScenarioEvent)>,

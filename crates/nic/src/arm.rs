@@ -9,10 +9,9 @@
 
 use ceio_chaos::{FaultInjector, FaultSite};
 use ceio_sim::{Duration, Time};
-use serde::Serialize;
 
 /// ARM-core statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct ArmStats {
     /// Operations executed.
     pub ops: u64,

@@ -10,10 +10,9 @@
 use ceio_chaos::{FaultInjector, FaultSite};
 use ceio_sim::{Bandwidth, Duration, Time};
 use ceio_telemetry::{TraceEvent, TraceKind, TraceRing};
-use serde::Serialize;
 
 /// On-NIC memory statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct OnboardStats {
     /// Bytes written into the elastic store.
     pub bytes_written: u64,

@@ -1,10 +1,9 @@
 //! NIC parameters, defaulted to a BlueField-3-class DPU.
 
 use ceio_sim::{Bandwidth, Duration};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the SmartNIC model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NicParams {
     /// Per-queue RX descriptor ring capacity (entries).
     pub ring_entries: usize,
@@ -31,7 +30,6 @@ pub struct NicParams {
     /// issue N descriptors per gap where one queue issues one. `ZERO`
     /// (the default) disables the gate entirely, keeping the single-queue
     /// pipeline bit-identical to the pre-sharding model.
-    #[serde(default)]
     pub queue_issue_gap: Duration,
 }
 

@@ -7,13 +7,9 @@
 //! underneath its per-flow RMT rules, and what IOCA/A4-style per-queue
 //! cache management needs to scale on multi-core receivers.
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of one RX queue (newtype so a queue index can never be
 /// confused with a core index or a flow id at an API boundary).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct QueueId(pub usize);
 
 impl QueueId {

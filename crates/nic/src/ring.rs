@@ -6,11 +6,10 @@
 //! full ring rejects pushes — the caller decides whether that is a drop
 //! (legacy NIC, ShRing) or backpressure (CEIO slow path).
 
-use serde::Serialize;
 use std::collections::VecDeque;
 
 /// Ring statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct RingStats {
     /// Configured capacity (descriptor count), so exported stats are
     /// self-describing: occupancy numbers can be judged without having to

@@ -9,10 +9,9 @@
 
 use crate::queue::QueueId;
 use ceio_net::{FlowId, FlowMap};
-use serde::Serialize;
 
 /// Where the RMT engine steers a matched packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SteerAction {
     /// Legacy I/O: DMA to the host ring of queue `queue`.
     FastPath {
@@ -34,7 +33,7 @@ struct Rule {
 }
 
 /// Engine statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct RmtStats {
     /// Lookups that matched a rule.
     pub matched: u64,

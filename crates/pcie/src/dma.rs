@@ -12,7 +12,6 @@ use crate::params::PcieParams;
 use ceio_chaos::{FaultInjector, FaultSite};
 use ceio_sim::Time;
 use ceio_telemetry::{TraceEvent, TraceKind, TraceRing};
-use serde::Serialize;
 
 /// Why a DMA could not be issued.
 ///
@@ -68,7 +67,7 @@ impl std::fmt::Display for DmaError {
 impl std::error::Error for DmaError {}
 
 /// Engine statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct DmaStats {
     /// Writes issued.
     pub writes: u64,

@@ -4,7 +4,6 @@
 use crate::params::PcieParams;
 use crate::tlp;
 use ceio_sim::{Duration, Time};
-use serde::Serialize;
 
 /// Transfer direction over the link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,7 +15,7 @@ pub enum Direction {
 }
 
 /// Per-direction statistics.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct LinkStats {
     /// Payload bytes moved.
     pub payload_bytes: u64,

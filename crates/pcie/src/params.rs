@@ -2,10 +2,9 @@
 //! BlueField-3 and the host (§2.3).
 
 use ceio_sim::{Bandwidth, Duration};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the PCIe interconnect model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PcieParams {
     /// Effective per-direction bandwidth after encoding/DLLP overheads.
     /// PCIe 5.0 ×16 raw is 64 GB/s; ~55 GB/s is the practical ceiling.

@@ -8,10 +8,9 @@
 //! P99.9s over 7 decades of nanosecond latencies in a few KiB of memory.
 
 use crate::time::{Duration, Time};
-use serde::Serialize;
 
 /// A monotonically increasing event counter with a delta-reading helper.
-#[derive(Debug, Default, Clone, Serialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Counter {
     total: u64,
     last_read: u64,
@@ -51,7 +50,7 @@ impl Counter {
 
 /// Windowed rate meter: counts occurrences (e.g. bytes or packets) and
 /// converts window deltas into rates.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RateMeter {
     counter: Counter,
     window_start: Time,
@@ -98,7 +97,7 @@ impl RateMeter {
 }
 
 /// Exponentially weighted moving average with weight `g` (DCTCP-style).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Ewma {
     value: f64,
     gain: f64,
@@ -134,7 +133,7 @@ impl Ewma {
 }
 
 /// A labelled sequence of (time, value) samples — one experiment curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     /// Curve label as it appears in reports.
     pub name: String,
@@ -189,7 +188,7 @@ impl TimeSeries {
 /// a histogram that never records costs no bucket storage at all. The
 /// logical bucket count, and with it every reported number, is the same
 /// as for a fully allocated array.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     sub_bucket_bits: u32,
     /// Logical bucket count (covers the full `u64` range).

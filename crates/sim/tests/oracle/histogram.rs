@@ -11,13 +11,12 @@
 #![allow(dead_code)]
 
 use ceio_sim::Duration;
-use serde::Serialize;
 
 /// Log-linear histogram with bounded relative error, for latency percentiles.
 ///
 /// Values ≥ `2^(sub_bucket_bits+1)` fall into buckets of doubling width; the
 /// maximum representable value is `u64::MAX` (clamped into the last bucket).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     sub_bucket_bits: u32,
     counts: Vec<u64>,

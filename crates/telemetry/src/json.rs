@@ -1,8 +1,8 @@
 //! Hand-rolled JSON helpers: string escaping, finite-safe float
 //! formatting, and a minimal validator.
 //!
-//! The workspace's `serde`/`serde_json` are no-op compatibility stubs, so
-//! every exporter in this crate emits JSON by hand. These helpers keep
+//! The workspace builds offline with no serialization crate, so every
+//! exporter in this crate emits JSON by hand. These helpers keep
 //! that honest: [`escape`] handles the mandatory escapes of RFC 8259,
 //! [`fmt_f64`] never emits `NaN`/`inf` (which are not JSON), and
 //! [`validate`] is a small recursive-descent checker used by tests and by

@@ -12,8 +12,8 @@
 //! * [`Snapshot::to_json`] — a stable JSON document for programmatic
 //!   consumption.
 //!
-//! Serialization is hand-rolled because the workspace builds offline
-//! against a no-op `serde` stub; the emitters are small, deterministic
+//! Serialization is hand-rolled because the workspace builds offline with
+//! no serialization crate; the emitters are small, deterministic
 //! (insertion-ordered), and covered by golden-file tests.
 
 use crate::json::{escape, fmt_f64};

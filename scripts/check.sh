@@ -21,20 +21,14 @@ echo "==> cargo xtask analyze"
 cargo xtask analyze --format json > analyze-report.json \
     || { cat analyze-report.json; exit 1; }
 
-echo "==> cargo clippy (default features)"
+echo "==> cargo clippy"
 cargo clippy --workspace --all-targets --offline -- -D warnings
-
-echo "==> cargo clippy (audit)"
-cargo clippy --workspace --all-targets --offline --features audit -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
-echo "==> cargo test (default features)"
+echo "==> cargo test"
 cargo test --workspace --offline -q
-
-echo "==> cargo test (audit enabled)"
-cargo test --workspace --offline -q --features audit
 
 echo "==> telemetry smoke (ceio-inspect)"
 cargo build --offline -p ceio-bench --bin ceio-inspect
@@ -58,6 +52,13 @@ for metric in ceio_ingress_admitted_total ceio_rmt_updates_total \
     grep -q "^# TYPE $metric " "$smoke_dir/metrics.prom" \
         || { echo "telemetry smoke: metrics are missing '$metric'"; exit 1; }
 done
+# The invariant auditor is compiled into every build and armed at run
+# time: the same binary under CEIO_AUDIT=1 must export a clean verdict.
+CEIO_AUDIT=1 target/debug/ceio-inspect --scenario kv --millis 3 \
+    --trace-out "$smoke_dir/audit-trace.json" --prom-out "$smoke_dir/audit-metrics.prom" \
+    > "$smoke_dir/audit-stdout.txt"
+grep -q "^ceio_audit_violations_total 0$" "$smoke_dir/audit-metrics.prom" \
+    || { echo "telemetry smoke: CEIO_AUDIT=1 run exported no clean audit verdict"; exit 1; }
 echo "telemetry smoke passed"
 
 echo "==> queue-scaling smoke (ceio-inspect --queues 4)"

@@ -1,10 +1,12 @@
-//! The trace and fault hooks are always compiled and armed only at
-//! runtime. These tests drive both through the umbrella crate on a short
-//! CEIO KV run and pin the two halves of that contract:
+//! The trace, audit and fault hooks are always compiled and armed only at
+//! runtime. These tests drive them through the umbrella crate on a short
+//! CEIO KV run and pin both halves of that contract:
 //!
-//! * observation does not perturb: a run with a trace ring armed (and no
-//!   fault plan) produces exactly the report of an unarmed run, while the
-//!   drained trace actually carries the paper's credit and delivery events;
+//! * observation does not perturb: a run with a trace ring or the
+//!   invariant auditor armed (and no fault plan) produces exactly the
+//!   report of an unarmed run, while the drained trace actually carries
+//!   the paper's credit and delivery events and the auditor actually
+//!   checks every event;
 //! * an armed fault plan does act: the canned `smoke` storm injects faults,
 //!   drives DMA retries, keeps Eq. 1 credit conservation, and replays
 //!   byte-identically.
@@ -78,6 +80,31 @@ fn armed_trace_does_not_perturb_the_run() {
     assert!(
         unarmed.is_empty() && dropped == 0,
         "an unarmed run records nothing"
+    );
+}
+
+#[test]
+fn armed_auditor_checks_every_event_without_perturbing_the_run() {
+    let mut plain = build();
+    // Unarmed even when the process runs under `CEIO_AUDIT=1`.
+    plain.model.auditor = None;
+    let plain_report = run_to_report(&mut plain, WARMUP, MEASURE);
+
+    let mut audited = build();
+    audited.model.arm_audit();
+    let audited_report = run_to_report(&mut audited, WARMUP, MEASURE);
+
+    assert_eq!(
+        render(&plain_report, &plain),
+        render(&audited_report, &audited),
+        "arming the auditor must leave the simulation byte-identical"
+    );
+    let audit = audited.model.audit_report().expect("auditor was armed");
+    assert!(audit.is_clean(), "a CEIO KV run must be clean:\n{audit}");
+    assert!(
+        audit.events_checked > 10_000,
+        "the armed auditor checked only {} events",
+        audit.events_checked
     );
 }
 
