@@ -86,6 +86,31 @@ fn hopping_scenario() -> Scenario {
     s.build()
 }
 
+/// Flows that come and go: 48 flows, 12 live at once; every 40 µs the 4
+/// oldest leave (even ids by a scenario stop, odd ids at their spec's stop
+/// time) and 4 new ones join. A stopped flow stays listed until its
+/// in-flight packets drain, so service lists shrink under the lazy retain
+/// while other flows on them hold packets — the moves the list positions
+/// and their busy bits must follow.
+fn turnover_scenario() -> Scenario {
+    let per = Bandwidth::gbps(25);
+    let joins_at = |i: u32| Time::ZERO + Duration::micros(40).saturating_mul(u64::from(i / 4));
+    let mut s = Scenario::new();
+    for i in 0..48u32 {
+        let mut spec = FlowSpec::new(i, FlowClass::CpuInvolved, 1024, 1, per);
+        if i + 12 < 48 {
+            let leaves = joins_at(i + 12);
+            if i % 2 == 0 {
+                s.stop_at(leaves, FlowId(i));
+            } else {
+                spec.stop = leaves;
+            }
+        }
+        s.start_at(joins_at(i), spec);
+    }
+    s.build()
+}
+
 fn cfg() -> HostConfig {
     HostConfig {
         ring_entries: 2048,
@@ -149,6 +174,27 @@ fn ceio_policy_audits_clean_under_hopping_senders() {
     );
     let audit = sim.model.audit_report().expect("auditor was armed");
     assert!(audit.is_clean(), "hopping run:\n{audit}");
+}
+
+#[test]
+fn ceio_policy_audits_clean_under_flow_turnover() {
+    let host = HostConfig {
+        num_cores: Some(4),
+        ..cfg()
+    };
+    let policy = CeioPolicy::new(CeioConfig {
+        credit_total: host.credit_total(),
+        ..CeioConfig::default()
+    });
+    let mut sim = Machine::build(host, policy, turnover_scenario(), app_factory(200));
+    sim.model.arm_audit();
+    let _report = run_to_report(&mut sim, Duration::micros(100), Duration::micros(400));
+    let audit = sim.model.audit_report().expect("auditor was armed");
+    assert!(audit.is_clean(), "turnover run:\n{audit}");
+    assert!(
+        sim.model.st.flows.iter().filter(|(_, f)| !f.active).count() >= 24,
+        "most flows must have left by the end of the run"
+    );
 }
 
 #[test]

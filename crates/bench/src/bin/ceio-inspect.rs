@@ -195,7 +195,7 @@ fn run(spec: RunSpec, o: &Outputs) -> Result<(), String> {
             let meta = vec![
                 ("policy".to_string(), report.policy.clone()),
                 ("scenario".to_string(), spec.scenario.name().to_string()),
-                ("chaos seed".to_string(), spec.seed.to_string()),
+                ("seed".to_string(), spec.seed.to_string()),
                 ("queues".to_string(), spec.host.num_queues.to_string()),
                 ("fault plan".to_string(), spec.plan_label.clone()),
                 ("measured".to_string(), format!("{} ms", spec.millis)),

@@ -45,11 +45,43 @@ struct FlowCredits {
     owed: Vec<(FlowId, u64)>,
 }
 
-/// Add `amount` to the debt owed to `j` in an ascending owed ledger.
-fn owe(owed: &mut Vec<(FlowId, u64)>, j: FlowId, amount: u64) {
-    match owed.binary_search_by_key(&j, |&(c, _)| c) {
-        Ok(i) => owed[i].1 += amount,
-        Err(i) => owed.insert(i, (j, amount)),
+/// Add a debt to each of `creditors` (ascending, distinct) in an ascending
+/// owed ledger: `per + 1` to each of the first `extra`, `per` to the rest.
+/// Every share must be positive. A creditor already in the ledger has the
+/// share added to its debt.
+///
+/// One backward merge, in place: the ledger grows by one slot per
+/// creditor, and entries move up from the back until every creditor is
+/// placed. Newcomers have the largest ids, so usually no entry moves.
+fn owe_each(owed: &mut Vec<(FlowId, u64)>, creditors: &[FlowId], per: u64, extra: usize) {
+    let share = |k: usize| per + u64::from(k < extra);
+    let (mut i, mut k) = (owed.len(), creditors.len());
+    let mut w = i + k;
+    owed.resize(w, (FlowId(0), 0));
+    while k > 0 {
+        let c = creditors[k - 1];
+        w -= 1;
+        match owed[..i].last() {
+            Some(&(j, debt)) if j > c => {
+                i -= 1;
+                owed[w] = (j, debt);
+            }
+            Some(&(j, debt)) if j == c => {
+                i -= 1;
+                k -= 1;
+                owed[w] = (c, debt + share(k));
+            }
+            _ => {
+                k -= 1;
+                owed[w] = (c, share(k));
+            }
+        }
+    }
+    // Each creditor already present left one unused slot, `w - i` in all,
+    // between the untouched prefix and the merged tail.
+    if w > i {
+        owed.copy_within(w.., i);
+        owed.truncate(owed.len() - (w - i));
     }
 }
 
@@ -413,19 +445,17 @@ impl CreditManager {
                     let give = fc.credits;
                     fc.credits = 0;
                     collected += give;
+                    // The first `shortfall % m` new flows are owed one
+                    // more; zero shares are not recorded.
                     let shortfall = need - give;
                     let per_new = shortfall / m;
-                    let mut rem = shortfall % m;
-                    for j in &fresh {
-                        let mut share = per_new;
-                        if rem > 0 {
-                            share += 1;
-                            rem -= 1;
-                        }
-                        if share > 0 {
-                            owe(&mut fc.owed, *j, share);
-                        }
-                    }
+                    let extra = (shortfall % m) as usize;
+                    let creditors = if per_new > 0 {
+                        &fresh[..]
+                    } else {
+                        &fresh[..extra]
+                    };
+                    owe_each(&mut fc.owed, creditors, per_new, extra);
                 }
             }
         }
@@ -1022,5 +1052,92 @@ mod tests {
         assert_eq!(cm.credits(FlowId(1)), 100);
         assert_eq!(cm.flow_count(), 1);
         assert!(cm.conserved());
+    }
+
+    fn ledger(cm: &CreditManager, f: u32) -> Vec<(u32, u64)> {
+        cm.flows
+            .get(&FlowId(f))
+            .map(|fc| fc.owed.iter().map(|&(j, o)| (j.0, o)).collect())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn new_creditors_interleave_existing_ones() {
+        let mut cm = CreditManager::new(3000);
+        cm.add_flows(&ids(&[1]));
+        for _ in 0..2900 {
+            assert!(cm.try_consume(FlowId(1)));
+        }
+        // Flow 1 is short: it owes 1400 to flow 5, then 500 to flow 9
+        // (flow 5, also short by then, owes flow 9 the other 400).
+        cm.add_flows(&ids(&[5]));
+        cm.add_flows(&ids(&[9]));
+        assert_eq!(ledger(&cm, 1), vec![(5, 1400), (9, 500)]);
+        assert_eq!(ledger(&cm, 5), vec![(9, 400)]);
+        // Three newcomers whose ids fall around the existing creditors:
+        // each short flow owes its shortfall split evenly, the first
+        // newcomers in id order taking the remainder (flow 9 gives its
+        // 100 credits and owes 400).
+        cm.add_flows(&ids(&[11, 3, 7]));
+        assert_eq!(
+            ledger(&cm, 1),
+            vec![(3, 167), (5, 1400), (7, 167), (9, 500), (11, 166)]
+        );
+        assert_eq!(
+            ledger(&cm, 5),
+            vec![(3, 167), (7, 167), (9, 400), (11, 166)]
+        );
+        assert_eq!(ledger(&cm, 9), vec![(3, 134), (7, 133), (11, 133)]);
+        assert_eq!(cm.debt_of(FlowId(1)), 2400);
+        assert!(cm.conserved());
+    }
+
+    /// The ledger insert `add_flows` made once per creditor before the
+    /// merge: binary search, then add or insert.
+    fn owe(owed: &mut Vec<(FlowId, u64)>, j: FlowId, amount: u64) {
+        match owed.binary_search_by_key(&j, |&(c, _)| c) {
+            Ok(i) => owed[i].1 += amount,
+            Err(i) => owed.insert(i, (j, amount)),
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random ascending ledgers and creditor sets, overlapping or not:
+        /// the merge leaves exactly the ledger that one insert per
+        /// creditor leaves, equal creditors summed.
+        #[test]
+        fn merge_matches_one_insert_per_creditor(
+            ledger_ids in prop::collection::vec(0u32..64, 0..24),
+            amounts in prop::collection::vec(1u64..1000, 24),
+            creditor_ids in prop::collection::vec(0u32..64, 1..16),
+            per in 0u64..4,
+            extra in 0usize..16,
+        ) {
+            let ascending = |mut v: Vec<u32>| {
+                v.sort_unstable();
+                v.dedup();
+                v
+            };
+            let old: Vec<(FlowId, u64)> = ascending(ledger_ids)
+                .into_iter()
+                .zip(amounts)
+                .map(|(j, o)| (FlowId(j), o))
+                .collect();
+            let creditors: Vec<FlowId> =
+                ascending(creditor_ids).into_iter().map(FlowId).collect();
+            // Every share must be positive: with `per == 0` only the first
+            // `extra` creditors are owed.
+            let extra = extra.min(creditors.len());
+            let creditors = if per > 0 { &creditors[..] } else { &creditors[..extra] };
+            let mut expected = old.clone();
+            for (k, &j) in creditors.iter().enumerate() {
+                owe(&mut expected, j, per + u64::from(k < extra));
+            }
+            let mut merged = old;
+            owe_each(&mut merged, creditors, per, extra);
+            prop_assert_eq!(merged, expected);
+        }
     }
 }

@@ -26,10 +26,11 @@
 //!   reachable LLC partition capacity (what credit admission guarantees).
 //! * **iio-occupancy** — staged bytes never exceed the IIO buffer.
 //! * **poll-scan-hints** — the bookkeeping a core poll trusts to skip
-//!   work is never stale in the unsafe direction: every flow with a
-//!   non-empty `ready` or `slow_queue` has its busy bit set, and every
-//!   core whose service list holds an inactive flow is flagged for a
-//!   retain.
+//!   work is never stale in the unsafe direction: every listed flow
+//!   records its own core and list position, every flow with a non-empty
+//!   `ready` or `slow_queue` has the busy bit at that position set, and
+//!   every core whose service list holds an inactive flow is flagged for
+//!   a retain.
 //!
 //! Policy-internal invariants (the CEIO credit ledger) are checked through
 //! the [`IoPolicy::audit_check`] hook, which shares this auditor's sink so
@@ -211,12 +212,29 @@ impl HostAuditor {
             },
         )));
 
-        // 7. Core-poll scan hints (busy bits, retain flags).
+        // 7. Core-poll scan hints (list positions, busy bits, retain flags).
         registry.register(Box::new(FnInvariant::new(
             "poll-scan-hints",
             |st: &HostState| {
+                for (core, list) in st.core_flows.iter().enumerate() {
+                    for (pos, id) in list.ids().iter().enumerate() {
+                        let at = st.flows.get(id).map(|f| (f.core, f.list_pos));
+                        if at != Some((core, pos)) {
+                            return Err((
+                                format!("flow {} is listed at core {core} position {pos}, but records {at:?}", id.0),
+                                vec![
+                                    ("flow", id.0.to_string()),
+                                    ("core", core.to_string()),
+                                    ("position", pos.to_string()),
+                                ],
+                            ));
+                        }
+                    }
+                }
                 for (id, f) in &st.flows {
-                    let busy = st.flow_busy.get(id.0 as usize).copied().unwrap_or(false);
+                    let list = &st.core_flows[f.core];
+                    let busy =
+                        list.ids().get(f.list_pos) == Some(&id) && list.is_busy(f.list_pos);
                     if !busy && (!f.ready.is_empty() || !f.slow_queue.is_empty()) {
                         return Err((
                             format!("flow {} has queued packets but a clear busy bit", id.0),
@@ -230,6 +248,7 @@ impl HostAuditor {
                 }
                 for (core, list) in st.core_flows.iter().enumerate() {
                     let inactive = list
+                        .ids()
                         .iter()
                         .find(|id| st.flows.get(id).is_none_or(|f| !f.active));
                     if let (Some(id), false) = (inactive, st.retain_due[core]) {

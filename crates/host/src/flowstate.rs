@@ -87,8 +87,9 @@ impl ReadyRing {
             "invariant: stale packets never enter the ring"
         );
         let i = (seq - self.base) as usize;
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, None);
+        // Packets almost always land one past the end; grow slot by slot.
+        while self.slots.len() <= i {
+            self.slots.push_back(None);
         }
         debug_assert!(
             self.slots[i].is_none(),
@@ -160,6 +161,9 @@ pub struct FlowState {
     pub gen: TrafficGen,
     /// Index of the host core serving this flow.
     pub core: usize,
+    /// This flow's position in its core's service list (the lazy retain
+    /// moves it when it compacts the list).
+    pub(crate) list_pos: usize,
     /// Receive queue (RSS shard) this flow's fast path lands on.
     pub queue: usize,
     /// Whether the sender is still emitting.
@@ -214,6 +218,7 @@ impl FlowState {
         cca: Dctcp,
         gen: TrafficGen,
         core: usize,
+        list_pos: usize,
         queue: usize,
         ring_capacity: u32,
     ) -> FlowState {
@@ -222,6 +227,7 @@ impl FlowState {
             cca,
             gen,
             core,
+            list_pos,
             queue,
             active: true,
             emit_epoch: 0,
@@ -376,7 +382,7 @@ mod tests {
             0,
         );
         let cca = Dctcp::new(spec.demand, Duration::micros(20));
-        FlowState::new(spec, cca, gen, 0, 0, 64)
+        FlowState::new(spec, cca, gen, 0, 0, 0, 64)
     }
 
     fn ready_pkt(seq: u64, msg_id: u64, msg_seq: u32, msg_last: bool, ready: Time) -> ReadyPkt {

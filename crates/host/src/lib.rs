@@ -35,6 +35,7 @@ pub mod measure;
 pub mod policy;
 pub mod rxq;
 pub mod scope;
+mod service;
 pub mod slab;
 pub mod telemetry;
 

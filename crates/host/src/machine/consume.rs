@@ -95,7 +95,7 @@ impl<P: IoPolicy> Machine<P> {
                 for sp in self.slow_batch.drain(..).rev() {
                     f.slow_queue.push_front(sp);
                 }
-                self.st.flow_busy[flow.0 as usize] = true;
+                self.st.core_flows[f.core].set_busy(f.list_pos);
                 None
             }
         }
@@ -138,14 +138,15 @@ impl<P: IoPolicy> Machine<P> {
         // Drop finished-and-drained flows from this core's service list.
         // Only an inactive flow can leave it, so the retain runs only while
         // the list may hold one (`retain_due`, flagged when a listed flow
-        // stops emitting) and notes whether one stays listed.
+        // stops emitting) and notes whether one stays listed. It moves each
+        // kept flow's busy bit along and records the flow's new position.
         if self.st.retain_due[core] {
-            let flows = &self.st.flows;
+            let flows = &mut self.st.flows;
             let mut inactive_listed = false;
-            self.st.core_flows[core].retain(|id| match flows.get(id) {
-                Some(f) if f.active => true,
-                Some(f) if f.has_pending_work() => {
-                    inactive_listed = true;
+            self.st.core_flows[core].retain(|id, pos| match flows.get_mut(&id) {
+                Some(f) if f.active || f.has_pending_work() => {
+                    inactive_listed |= !f.active;
+                    f.list_pos = pos;
                     true
                 }
                 _ => false,
@@ -164,30 +165,42 @@ impl<P: IoPolicy> Machine<P> {
         // DMA read, otherwise a busy slow path would starve the consumer.
         // The service list is indexed in place: nothing below starts or
         // retires flows, so it cannot change during the scan.
+        //
+        // Idle flows are never visited. An idle flow has nothing retired
+        // into `ready` and nothing parked in `slow_queue`, so its iteration
+        // would be a no-op — an empty batch, no gap stall, no drain request
+        // from any in-tree policy, and a slow fetch that returns before
+        // touching state — and passing it leaves the round-robin cursor and
+        // every counter unchanged. A clear busy bit proves the flow idle,
+        // so the scan jumps to the next set bit cyclically from `from`;
+        // `left` counts the positions not yet passed since `start`, which
+        // ends the scan once it comes round again. A set bit is only a
+        // hint, checked below and cleared when the queues are empty.
         let start = self.st.core_rr[core] % n;
         let batch_size = self.st.cfg.cpu.batch_size;
         let mut selected: Option<(FlowId, FlowClass)> = None;
         let mut sync_stall: Option<Time> = None;
-        for k in 0..n {
-            let flow_id = self.st.core_flows[core][(start + k) % n];
-            // Idle flow: nothing retired into `ready`, nothing parked in
-            // `slow_queue`. The rest of this iteration would be a no-op for
-            // it — an empty batch, no gap stall, no drain request from any
-            // in-tree policy, and a slow fetch that returns before touching
-            // state — so skipping it leaves the round-robin cursor and
-            // every counter unchanged. A clear busy bit proves the flow
-            // idle without reading its state; a set bit is only a hint,
-            // checked below and cleared when the queues are empty.
-            if !self.st.flow_busy[flow_id.0 as usize] {
-                continue;
+        let mut from = start;
+        let mut left = n;
+        while let Some(pos) = self.st.core_flows[core].next_busy(from) {
+            let skipped = if pos >= from {
+                pos - from
+            } else {
+                pos + n - from
+            };
+            if skipped >= left {
+                break;
             }
+            left -= skipped + 1;
+            from = if pos + 1 == n { 0 } else { pos + 1 };
+            let flow_id = self.st.core_flows[core].ids()[pos];
             let (gap_stall, class) = {
                 let f =
                     self.st.flows.get_mut(&flow_id).expect(
                         "invariant: service lists hold only ids present in `self.st.flows`",
                     );
                 if f.ready.is_empty() && f.slow_queue.is_empty() {
-                    self.st.flow_busy[flow_id.0 as usize] = false;
+                    self.st.core_flows[core].clear_busy(pos);
                     continue;
                 }
                 f.take_deliverable(now, batch_size, &mut self.batch);
@@ -207,7 +220,7 @@ impl<P: IoPolicy> Machine<P> {
                         self.schedule_slow_arrivals(at_host, queue);
                     }
                 }
-                self.st.core_rr[core] = (start + k + 1) % n;
+                self.st.core_rr[core] = from;
                 selected = Some((flow_id, class));
                 break;
             }

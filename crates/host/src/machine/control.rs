@@ -85,7 +85,7 @@ pub(crate) struct HostChaos {
 impl<P: IoPolicy> Machine<P> {
     fn new_core(&mut self) -> usize {
         self.st.cores.push(ceio_cpu::CpuCore::new());
-        self.st.core_flows.push(Vec::new());
+        self.st.core_flows.push(Default::default());
         self.st.core_rr.push(0);
         self.st.retain_due.push(false);
         self.st.poll_queued.push(false);
@@ -121,11 +121,7 @@ impl<P: IoPolicy> Machine<P> {
         self.st.flows_started += 1;
         self.st.flows_started_per_queue[q] += 1;
         let id = spec.id;
-        self.st.core_flows[core].push(id);
-        let slot = id.0 as usize;
-        if slot >= self.st.flow_busy.len() {
-            self.st.flow_busy.resize(slot + 1, false);
-        }
+        let list_pos = self.st.core_flows[core].push(id);
         let gen = TrafficGen::new(
             spec.clone(),
             self.st.pacing,
@@ -135,9 +131,10 @@ impl<P: IoPolicy> Machine<P> {
         let cca = Dctcp::new(spec.demand, self.st.cfg.net.rtt);
         let app = (self.st.app_factory)(&spec);
         let ring_cap = self.st.cfg.ring_entries as u32;
-        self.st
-            .flows
-            .insert(id, FlowState::new(spec, cca, gen, core, q, ring_cap));
+        self.st.flows.insert(
+            id,
+            FlowState::new(spec, cca, gen, core, list_pos, q, ring_cap),
+        );
         self.st.apps.insert(id, app);
         self.policy.on_flow_start(&mut self.st, now, id);
         let tok = queue.schedule_cancellable_at(now, Event::Emit { flow: id, epoch: 0 });

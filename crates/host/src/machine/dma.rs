@@ -287,7 +287,7 @@ impl<P: IoPolicy> Machine<P> {
                         via_slow,
                     },
                 );
-                self.st.flow_busy[pkt.flow.0 as usize] = true;
+                self.st.core_flows[f.core].set_busy(f.list_pos);
                 poll_core = Some(f.core);
             }
         } else {

@@ -140,7 +140,7 @@ impl<P: IoPolicy> Machine<P> {
                             ready_at_nic,
                         });
                         f.counters.slow_pkts += 1;
-                        self.st.flow_busy[pkt.flow.0 as usize] = true;
+                        self.st.core_flows[f.core].set_busy(f.list_pos);
                         self.st
                             .trace_event(now, Some(pkt.flow.0), TraceKind::SlowPark, pkt.bytes);
                     }

@@ -46,6 +46,7 @@ use crate::flowstate::{FlowState, ReadyPkt, SlowPkt};
 use crate::measure::{Measurements, RunReport};
 use crate::policy::IoPolicy;
 use crate::rxq::{PendingDma, RxQueue};
+use crate::service::ServiceList;
 use crate::slab::{DmaId, PayloadSlabs, PktId};
 use ceio_cpu::{Application, CpuCore};
 use ceio_mem::{BufferId, MemoryController};
@@ -169,13 +170,13 @@ pub struct HostState {
     /// Host CPU cores (index = core id).
     pub cores: Vec<CpuCore>,
     /// Per-core service lists: the flows each core polls, round-robin.
-    pub(crate) core_flows: Vec<Vec<FlowId>>,
+    /// Each flow sits at position [`FlowState::list_pos`] of its core's
+    /// list, whose busy bit there is set wherever the flow's `ready` or
+    /// `slow_queue` becomes non-empty and cleared when a core poll's scan
+    /// finds both empty. A clear bit proves the flow idle, so the scan
+    /// jumps past it without touching its [`FlowState`].
+    pub(crate) core_flows: Vec<ServiceList>,
     core_rr: Vec<usize>,
-    /// Per-flow busy bits, indexed by flow id: set wherever a flow's
-    /// `ready` or `slow_queue` becomes non-empty, cleared when a core
-    /// poll's scan finds both empty. A clear bit proves the flow idle, so
-    /// the scan skips it without touching its [`FlowState`].
-    pub(crate) flow_busy: Vec<bool>,
     /// Per-core: the service list may hold an inactive flow, so the next
     /// poll must run its `retain`. Set on the flow's core when a flow stops
     /// emitting; the retain recomputes it.
@@ -267,8 +268,11 @@ impl HostState {
     /// builds or under the `test-hooks` feature.
     #[cfg(any(test, feature = "test-hooks"))]
     pub fn clear_busy_for_tests(&mut self, flow: FlowId) {
-        if let Some(b) = self.flow_busy.get_mut(flow.0 as usize) {
-            *b = false;
+        if let Some(f) = self.flows.get(&flow) {
+            let list = &mut self.core_flows[f.core];
+            if list.ids().get(f.list_pos) == Some(&flow) {
+                list.clear_busy(f.list_pos);
+            }
         }
     }
 
@@ -455,7 +459,6 @@ impl<P: IoPolicy> Machine<P> {
             cores: Vec::new(),
             core_flows: Vec::new(),
             core_rr: Vec::new(),
-            flow_busy: Vec::new(),
             retain_due: Vec::new(),
             flows_started: 0,
             flows_started_per_queue: vec![0; num_queues],

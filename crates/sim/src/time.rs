@@ -251,10 +251,15 @@ impl Bandwidth {
         if bytes == 0 {
             return Duration::ZERO;
         }
-        // ns = ceil(bytes * 1e9 / rate); 128-bit to avoid overflow.
-        let num = bytes as u128 * 1_000_000_000u128;
-        let den = self.bytes_per_sec as u128;
-        Duration(num.div_ceil(den) as u64)
+        // ns = ceil(bytes * 1e9 / rate), in 64 bits when the product fits
+        // (every packet-sized transfer) and in 128 bits otherwise.
+        match bytes.checked_mul(1_000_000_000) {
+            Some(num) => Duration(num.div_ceil(self.bytes_per_sec)),
+            None => {
+                let num = bytes as u128 * 1_000_000_000u128;
+                Duration(num.div_ceil(self.bytes_per_sec as u128) as u64)
+            }
+        }
     }
 
     /// Bytes that can move in `d` at this rate (rounded down).

@@ -131,6 +131,27 @@ proptest! {
         prop_assert!(back + one_ns_bytes >= bytes, "back={back} bytes={bytes}");
     }
 
+    /// The 64-bit transfer-time path returns what the 128-bit formula
+    /// returns: for random sizes (small, and up to `u64::MAX`) at random
+    /// rates, and at the largest size whose product still fits in 64 bits,
+    /// one below and one above it.
+    #[test]
+    fn transfer_time_matches_the_128_bit_formula(
+        small in 1u64..100_000,
+        large in any::<u64>(),
+        rate in 1u64..u64::MAX,
+        gbps in 1u64..1000,
+    ) {
+        let edge = u64::MAX / 1_000_000_000;
+        for bw in [Bandwidth::bytes_per_sec(rate), Bandwidth::gbps(gbps)] {
+            let den = bw.as_bytes_per_sec() as u128;
+            for bytes in [small, large, edge - 1, edge, edge + 1] {
+                let exact = (bytes as u128 * 1_000_000_000).div_ceil(den) as u64;
+                prop_assert_eq!(bw.transfer_time(bytes).as_nanos(), exact, "bytes={} rate={}", bytes, den);
+            }
+        }
+    }
+
     /// RNG ranges are always within bound, for arbitrary seeds.
     #[test]
     fn rng_range_in_bound(seed in any::<u64>(), bound in 1u64..1_000_000) {

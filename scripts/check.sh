@@ -124,6 +124,8 @@ for chart in "LLC I/O occupancy vs. DDIO capacity" "Goodput over time"; do
 done
 grep -q "<svg" "$smoke_dir/ceio-report.html" \
     || { echo "scope smoke: report carries no inline SVG charts"; exit 1; }
+grep -q '<tr><th>seed</th><td>1234</td></tr>' "$smoke_dir/ceio-report.html" \
+    || { echo "scope smoke: report metadata is missing the seed row"; exit 1; }
 echo "scope smoke passed"
 
 echo "==> bench smoke (benchmark/: transparency tests + every workload at 2 s)"
