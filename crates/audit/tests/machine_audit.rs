@@ -9,9 +9,12 @@
 //! the process-global `ceio_audit::set_enabled` so these tests stay safe
 //! under the parallel test runner.
 
+use ceio_chaos::FaultPlan;
 use ceio_core::{CeioConfig, CeioPolicy};
 use ceio_cpu::{AppWork, Application};
-use ceio_host::{run_to_report, AppFactory, HostConfig, IoPolicy, Machine, UnmanagedPolicy};
+use ceio_host::{
+    arm_chaos, run_to_report, AppFactory, HostConfig, IoPolicy, Machine, UnmanagedPolicy,
+};
 use ceio_net::{FlowClass, FlowId, FlowSpec, Packet, Scenario};
 use ceio_sim::{Bandwidth, Duration, Time};
 
@@ -197,6 +200,50 @@ fn ceio_policy_audits_clean_under_flow_turnover() {
     );
 }
 
+/// A queue flap head-drops staged fast-path packets when it fails a queue
+/// over. Each must give up its arrival sequence number with its
+/// descriptor; a delivery front that stays a hole nothing in flight can
+/// fill wedges its flow for good, and `no-orphan-hole` reports it.
+#[test]
+fn ceio_policy_audits_clean_across_a_queue_flap() {
+    // The queue-failover experiment's host: four RSS queues whose
+    // descriptor issue, not PCIe, binds, 16 KV-sized flows on the link.
+    let mut host = HostConfig {
+        ring_entries: 16384,
+        num_queues: 4,
+        ..HostConfig::default()
+    };
+    host.nic.queue_issue_gap = Duration::nanos(150);
+    let policy = CeioPolicy::new(CeioConfig {
+        credit_total: host.credit_total(),
+        ..CeioConfig::default()
+    });
+    let mut s = Scenario::new();
+    let per = host.net.link_bandwidth.scale(1, 16);
+    for i in 0..16 {
+        s.start_at(
+            Time::ZERO,
+            FlowSpec::new(i, FlowClass::CpuInvolved, 512, 1, per),
+        );
+    }
+    let mut sim = Machine::build(host, policy, s.build(), app_factory(100));
+    let plan = FaultPlan::parse("queue-flap", 42).expect("the canned plan parses");
+    arm_chaos(&mut sim, &plan);
+    sim.model.arm_audit();
+    let report = run_to_report(&mut sim, Duration::millis(1), Duration::millis(2));
+    let failover = &sim.model.st.failover;
+    assert!(
+        failover.head_dropped_pkts > 0,
+        "the flap must head-drop staged packets: {failover:?}"
+    );
+    let audit = sim.model.audit_report().expect("auditor was armed");
+    assert!(audit.is_clean(), "queue-flap run:\n{audit}");
+    assert!(
+        report.fast_path_gbps > 0.0,
+        "the flows must keep delivering"
+    );
+}
+
 #[test]
 fn baseline_policy_audits_clean() {
     // The host-machine invariants (ordering, occupancy, monotone time) are
@@ -247,7 +294,7 @@ fn missed_busy_bit_is_caught() {
         .st
         .flows
         .iter()
-        .find(|(_, f)| !f.ready.is_empty() || !f.slow_queue.is_empty())
+        .find(|(_, f)| f.ring.has_queued())
         .map(|(id, _)| id)
         .expect("a thrashing run has queued packets");
     sim.model.st.clear_busy_for_tests(flow);

@@ -50,7 +50,7 @@ impl IoPolicy for OraclePolicy {
                 let slow_len = st
                     .flows
                     .get(&pkt.flow)
-                    .map(|f| f.slow_queue.len())
+                    .map(|f| f.ring.parked_len())
                     .unwrap_or(0);
                 SteerDecision::SlowPath {
                     mark: slow_len > 32,

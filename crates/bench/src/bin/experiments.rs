@@ -4,9 +4,11 @@
 //! ceio-experiments [--quick] [--jobs N] [name ...]
 //! ```
 //!
-//! `--jobs N` runs the selected experiments on `N` worker threads. Every
-//! simulation stays single-threaded and deterministic; parallelism is only
-//! across whole experiments. Reports are buffered and printed on stdout in
+//! `--jobs N` runs at most `N` of the selected experiments at once. It
+//! does not bound the thread count: inside an experiment,
+//! `runner::run_jobs` still runs every sweep point on its own thread, so
+//! `--jobs 1` is not a serial run. Every simulation stays single-threaded
+//! and deterministic. Reports are buffered and printed on stdout in
 //! selection order, so stdout is byte-identical for any `N` (pinned by the
 //! `jobs_parallelism` integration test). Wall-clock timing lines go to
 //! stderr, where nondeterminism belongs.

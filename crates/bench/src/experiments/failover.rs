@@ -13,7 +13,7 @@
 //! counters proving the flap was survived rather than merely suffered.
 
 use crate::experiments::queues::sharded_host;
-use crate::runner::{run_one_keep_faulted, AnyPolicy, PolicyKind};
+use crate::runner::{run_one_scoped, AnyPolicy, PolicyKind};
 use crate::table::{self, Table};
 use crate::workloads::{self, AppKind};
 use ceio_chaos::FaultPlan;
@@ -35,7 +35,7 @@ pub fn flap_run(
     let spans = workloads::spans(quick);
     let host = sharded_host(QUEUES);
     let link = host.net.link_bandwidth;
-    run_one_keep_faulted(
+    run_one_scoped(
         host,
         PolicyKind::Ceio,
         workloads::involved_flows(16, 512, link),
@@ -43,6 +43,7 @@ pub fn flap_run(
         spans.warmup,
         spans.measure,
         plan,
+        None,
     )
 }
 
@@ -104,16 +105,40 @@ mod tests {
         assert!(st.rxq.iter().all(|q| q.state() == QueueState::Healthy));
     }
 
-    /// The tentpole acceptance check: the seed-pinned queue-flap plan
-    /// kills at least one queue, the watchdog fails it over and brings it
-    /// back, and credit conservation holds at the end of the run.
+    /// The seed-pinned queue-flap plan kills at least one queue, the
+    /// watchdog fails it over and brings it back, credit conservation
+    /// holds at the end of the run, and the flows keep delivering: a
+    /// packet head-dropped at failover gives up its sequence number, so
+    /// no flow ends with packets stranded behind a hole.
     #[test]
     fn queue_flap_fails_over_recovers_and_conserves() {
-        use ceio_sim::Time;
+        use ceio_sim::{Duration, Time};
 
         let plan = FaultPlan::parse("queue-flap", SEED).expect("canned plan");
-        let (_, sim) = flap_run(true, Some(&plan));
+        let (r, mut sim) = flap_run(true, Some(&plan));
+        assert!(
+            r.fast_path_gbps > 0.0,
+            "the flap must not wedge the fast path"
+        );
+        let spans = workloads::spans(true);
+        let end = Time::ZERO + spans.warmup + spans.measure;
+        // Let the senders stop and the pipeline drain: whatever is still
+        // in a ring afterwards is stranded behind a hole for good.
+        for (_, f) in sim.model.st.flows.iter_mut() {
+            f.spec.stop = end;
+        }
+        sim.run_until(end + Duration::millis(2), u64::MAX);
         let st = &sim.model.st;
+        assert!(st.failover.head_dropped_pkts > 0, "{:?}", st.failover);
+        for (id, f) in &st.flows {
+            assert!(
+                !f.ring.has_queued(),
+                "flow {} ends with {} packets stranded behind the hole at {}",
+                id.0,
+                f.ring.ready_len(),
+                f.ring.base()
+            );
+        }
         assert!(
             st.failover.failures >= 1,
             "queue-flap must kill at least one queue: {:?}",
@@ -129,8 +154,6 @@ mod tests {
             "failing over a queue must re-steer its flows: {:?}",
             st.failover
         );
-        let spans = workloads::spans(true);
-        let end = Time::ZERO + spans.warmup + spans.measure;
         let prom = sim.model.snapshot(end).to_prom_text();
         assert!(
             prom.contains("ceio_credit_conserved 1"),

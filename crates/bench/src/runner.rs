@@ -189,36 +189,7 @@ pub fn run_one(
     warmup: Duration,
     measure: Duration,
 ) -> RunReport {
-    run_one_faulted(host, kind, scenario, factory, warmup, measure, None)
-}
-
-/// [`run_one`] with an optional fault plan armed across every machine
-/// layer before the run starts.
-pub fn run_one_faulted(
-    host: HostConfig,
-    kind: PolicyKind,
-    scenario: Scenario,
-    factory: AppFactory,
-    warmup: Duration,
-    measure: Duration,
-    plan: Option<&FaultPlan>,
-) -> RunReport {
-    let (report, _sim) = run_one_keep_faulted(host, kind, scenario, factory, warmup, measure, plan);
-    report
-}
-
-/// [`run_one_faulted`] returning the finished simulation for
-/// introspection (controller stats, per-flow counters).
-pub fn run_one_keep_faulted(
-    host: HostConfig,
-    kind: PolicyKind,
-    scenario: Scenario,
-    factory: AppFactory,
-    warmup: Duration,
-    measure: Duration,
-    plan: Option<&FaultPlan>,
-) -> (RunReport, ceio_sim::Simulation<Machine<AnyPolicy>>) {
-    run_one_scoped(host, kind, scenario, factory, warmup, measure, plan, None)
+    run_one_scoped(host, kind, scenario, factory, warmup, measure, None, None).0
 }
 
 /// Flight-recorder arming parameters for [`run_one_scoped`].

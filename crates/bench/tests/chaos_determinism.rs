@@ -34,7 +34,7 @@ fn malformed_fault_plan_specs_are_rejected() {
 
 mod armed {
     use super::*;
-    use ceio_bench::runner::{run_one_faulted, run_one_keep_faulted, series_csv, PolicyKind};
+    use ceio_bench::runner::{run_one_scoped, series_csv, PolicyKind};
     use ceio_bench::workloads::{self, AppKind, Transport};
     use ceio_sim::{Duration, Time};
 
@@ -42,7 +42,7 @@ mod armed {
         let plan = FaultPlan::parse("smoke", seed).expect("canned plan");
         let host = workloads::contended_host(Transport::Dpdk);
         let link = host.net.link_bandwidth;
-        let report = run_one_faulted(
+        let (report, _) = run_one_scoped(
             host,
             PolicyKind::Ceio,
             workloads::involved_flows(8, 512, link),
@@ -50,6 +50,7 @@ mod armed {
             Duration::millis(1),
             Duration::millis(2),
             Some(&plan),
+            None,
         );
         series_csv(&report)
     }
@@ -71,7 +72,7 @@ mod armed {
             let plan = FaultPlan::parse("dma-flaky", seed).expect("canned plan");
             let host = workloads::contended_host(Transport::Dpdk);
             let link = host.net.link_bandwidth;
-            let (_, sim) = run_one_keep_faulted(
+            let (_, sim) = run_one_scoped(
                 host,
                 PolicyKind::Ceio,
                 workloads::involved_flows(8, 512, link),
@@ -79,6 +80,7 @@ mod armed {
                 Duration::millis(1),
                 Duration::millis(2),
                 Some(&plan),
+                None,
             );
             sim.model.injected_faults()
         };
@@ -98,7 +100,7 @@ mod armed {
             let link = host.net.link_bandwidth;
             let warmup = Duration::millis(1);
             let measure = Duration::millis(2);
-            let (_, sim) = run_one_keep_faulted(
+            let (_, sim) = run_one_scoped(
                 host,
                 PolicyKind::Ceio,
                 workloads::involved_flows(8, 512, link),
@@ -106,6 +108,7 @@ mod armed {
                 warmup,
                 measure,
                 Some(&plan),
+                None,
             );
             sim.model.snapshot(Time::ZERO + warmup + measure).to_json()
         };

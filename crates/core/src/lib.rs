@@ -16,16 +16,16 @@
 //!    ([`credit::CreditManager`]) governs reallocation when flows arrive,
 //!    with an owed-credit ledger for flows that could not contribute their
 //!    fair share immediately.
-//! 2. **Elastic buffering** (§4.2, [`swring`], [`policy`]): packets that
-//!    cannot obtain a credit are steered — by rewriting the flow's RMT
-//!    rule — into on-NIC memory instead of being dropped, avoiding the
-//!    spurious congestion-control triggers that plague fixed-capacity
-//!    schemes. A software ring unifies the fast-path and slow-path hardware
-//!    rings behind ordered `recv()` / non-blocking `async_recv()` APIs;
-//!    **phase exclusivity** (the fast path stays paused while slow-path
-//!    packets exist) preserves per-flow ordering with no per-packet
-//!    metadata, and asynchronous DMA reads overlap slow-path fetches with
-//!    fast-path processing.
+//! 2. **Elastic buffering** (§4.2, [`policy`]): packets that cannot
+//!    obtain a credit are steered — by rewriting the flow's RMT rule —
+//!    into on-NIC memory instead of being dropped, avoiding the spurious
+//!    congestion-control triggers that plague fixed-capacity schemes. A
+//!    software ring (`ceio_host::SwRing`, each flow's receive path in the
+//!    host machine) unifies the fast-path and slow-path hardware rings
+//!    behind one ordered consumer; **phase exclusivity** (the fast path
+//!    stays paused while slow-path packets exist) preserves per-flow
+//!    ordering with no per-packet metadata, and asynchronous DMA reads
+//!    overlap slow-path fetches with fast-path processing.
 //!
 //! [`CeioPolicy`] plugs both mechanisms into the `ceio-host` machine as an
 //! `IoPolicy`; [`CeioConfig`] exposes the ablation switches the evaluation
@@ -38,16 +38,12 @@
 
 pub mod config;
 pub mod credit;
-pub mod driver;
 pub mod mpq;
 pub mod policy;
 pub mod sharded;
-pub mod swring;
 
 pub use config::CeioConfig;
 pub use credit::CreditManager;
-pub use driver::{BufHandle, BufOrigin, CeioDriver, Delivery, DriverRecv};
 pub use mpq::{MpqConfig, MpqPolicy};
 pub use policy::CeioPolicy;
 pub use sharded::ShardedCredits;
-pub use swring::{RecvOutcome, SwRing};

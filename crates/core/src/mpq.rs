@@ -135,7 +135,7 @@ impl IoPolicy for MpqPolicy {
     fn steer(&mut self, st: &mut HostState, now: Time, pkt: &Packet) -> SteerDecision {
         st.rmt.steer(&pkt.flow);
         let (slow_len, ring_free) = match st.flows.get(&pkt.flow) {
-            Some(f) => (f.slow_queue.len(), f.ring_free()),
+            Some(f) => (f.ring.parked_len(), f.ring.free()),
             None => return SteerDecision::Drop { loss: false },
         };
         let Some(p) = self.flows.get_mut(&pkt.flow) else {
@@ -205,15 +205,10 @@ impl IoPolicy for MpqPolicy {
         let Some(f) = st.flows.get(&flow) else {
             return DrainRequest::NONE;
         };
-        if f.slow_fetch_inflight >= 2 * self.cfg.drain_batch {
+        if f.ring.fetching() >= 2 * self.cfg.drain_batch {
             return DrainRequest::NONE;
         }
-        let drainable = f
-            .slow_queue
-            .front()
-            .map(|sp| sp.ready_at_nic <= now)
-            .unwrap_or(false);
-        if drainable {
+        if f.ring.slow_drainable(now) {
             DrainRequest {
                 fetch: self.cfg.drain_batch,
                 sync: false,

@@ -467,9 +467,9 @@ impl IoPolicy for CeioPolicy {
         }
         let (parked, slow_len, ring_free) = match st.flows.get(&flow) {
             Some(f) => (
-                f.slow_queue.len() + f.slow_fetch_inflight as usize,
-                f.slow_queue.len(),
-                f.ring_free(),
+                f.ring.parked_len() + f.ring.fetching() as usize,
+                f.ring.parked_len(),
+                f.ring.free(),
             ),
             None => return SteerDecision::Drop { loss: false },
         };
@@ -601,20 +601,15 @@ impl IoPolicy for CeioPolicy {
         // Blocking recv() keeps a single DMA read outstanding; async_recv
         // pipelines up to one drain batch so drained-but-unconsumed data
         // stays within the credit reserve.
-        if !self.cfg.async_fetch && f.slow_fetch_inflight > 0 {
+        if !self.cfg.async_fetch && f.ring.fetching() > 0 {
             return DrainRequest::NONE;
         }
         // Bound the fetch pipeline at two drain batches in flight per flow
         // (enough to cover the PCIe read round trip at line rate).
-        if f.slow_fetch_inflight >= 2 * self.cfg.drain_batch {
+        if f.ring.fetching() >= 2 * self.cfg.drain_batch {
             return DrainRequest::NONE;
         }
-        let drainable = f
-            .slow_queue
-            .front()
-            .map(|sp| sp.ready_at_nic <= now)
-            .unwrap_or(false);
-        if drainable {
+        if f.ring.slow_drainable(now) {
             DrainRequest {
                 fetch: self.cfg.drain_batch,
                 sync: !self.cfg.async_fetch,
@@ -661,13 +656,13 @@ impl IoPolicy for CeioPolicy {
                 .get_mut(&flow)
                 .expect("invariant: `ctl` has an entry for every flow in `st.flows`");
             let consumed = f.counters.consumed_pkts;
-            let arrivals = f.nic_seq_next;
+            let arrivals = f.ring.arrivals();
             if consumed > c.consumed_at_last_poll || arrivals > c.arrivals_at_last_poll {
                 c.last_activity = now;
             }
             // Slow-path overload: production has outrun consumption — the
             // CCA trigger of §4.1 Q2.
-            let slow_len = f.slow_queue.len();
+            let slow_len = f.ring.parked_len();
             if slow_len > self.cfg.slow_overload_threshold && slow_len >= c.slow_len_at_last_poll {
                 to_mark.push(flow);
             }

@@ -237,7 +237,7 @@ fn bypass_flows_degrade_to_slow_path_in_mixed_workload() {
         let (mut slow, mut total) = (0u64, 0u64);
         for f in st.flows.values().filter(|f| f.spec.class == class) {
             slow += f.counters.slow_pkts;
-            total += f.nic_seq_next;
+            total += f.ring.arrivals();
         }
         if total == 0 {
             0.0

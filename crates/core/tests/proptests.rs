@@ -3,12 +3,16 @@
 //! * The credit manager conserves credits under *any* operation sequence
 //!   (Eq. 1 is only a safety bound if no credit can ever be minted or
 //!   leaked).
-//! * The software ring delivers in exact arrival order under any
-//!   interleaving of fast pushes, slow pushes, fetch completions, and
-//!   receives.
+//! * The software ring (`ceio_host::SwRing`, each flow's receive path in
+//!   the host machine) delivers in exact arrival order under any
+//!   interleaving of fast reservations, out-of-order retires, slow
+//!   parking, fetches, and receives.
 
-use ceio_core::{CreditManager, SwRing};
-use ceio_net::FlowId;
+use ceio_core::CreditManager;
+use ceio_host::{ReadyPkt, SwRing};
+use ceio_mem::BufferId;
+use ceio_net::{FlowId, Packet, PacketId};
+use ceio_sim::Time;
 use proptest::prelude::*;
 
 /// Operations against the credit manager.
@@ -98,8 +102,14 @@ proptest! {
 /// Operations against the software ring.
 #[derive(Debug, Clone)]
 enum RingOp {
+    /// Reserve a fast-path descriptor (packet in DMA flight).
     PushFast,
+    /// An in-flight fast-path packet (picked by index) retires.
+    Retire(u8),
     PushSlow,
+    /// Take a fetch batch of at most this many parked packets.
+    Fetch(u8),
+    /// A driver poll takes at most this many packets.
     Recv(u8),
     CompleteFetches,
 }
@@ -107,123 +117,165 @@ enum RingOp {
 fn ring_op() -> impl Strategy<Value = RingOp> {
     prop_oneof![
         3 => Just(RingOp::PushFast),
+        3 => any::<u8>().prop_map(RingOp::Retire),
         2 => Just(RingOp::PushSlow),
+        1 => (1u8..17).prop_map(RingOp::Fetch),
         3 => (1u8..64).prop_map(RingOp::Recv),
         2 => Just(RingOp::CompleteFetches),
     ]
 }
 
+/// A packet whose id is its arrival sequence number.
+fn ring_pkt(seq: u64) -> Packet {
+    Packet {
+        id: PacketId(seq),
+        flow: FlowId(0),
+        bytes: 512,
+        msg_id: 0,
+        msg_seq: 0,
+        msg_last: false,
+        sent_at: Time::ZERO,
+        arrived_nic: Time::ZERO,
+        ecn: false,
+    }
+}
+
+/// Land packet `seq` in host memory; the ring must accept it (no teardown
+/// runs in these properties, so nothing is stale).
+fn land(ring: &mut SwRing, seq: u64, via_slow: bool) {
+    let rp = ReadyPkt {
+        pkt: ring_pkt(seq),
+        buf: BufferId(seq),
+        ready: Time::ZERO,
+        via_slow,
+    };
+    assert!(
+        !ring.retire(seq, rp),
+        "no teardown ran, so nothing is stale"
+    );
+}
+
+/// Deliver everything deliverable; the delivered packet ids.
+fn recv(ring: &mut SwRing, max: usize) -> Vec<u64> {
+    let mut out = Vec::new();
+    ring.take_deliverable(Time::ZERO, max, &mut out);
+    out.iter().map(|rp| rp.pkt.id.0).collect()
+}
+
+/// Fetch every parked packet and land it with every fetch in flight.
+fn fetch_and_land_all(ring: &mut SwRing, fetching: &mut Vec<u64>) {
+    let mut batch = Vec::new();
+    ring.take_fetch_batch(Time::ZERO, usize::MAX, &mut batch);
+    fetching.extend(batch.iter().map(|sp| sp.nic_seq));
+    for seq in fetching.drain(..) {
+        land(ring, seq, true);
+    }
+}
+
 proptest! {
-    /// In-order delivery: under any interleaving, `async_recv` hands back
-    /// items in exactly the order they were pushed, with no loss or
-    /// duplication, and everything drains once all fetches complete.
+    /// In-order delivery: under any interleaving of fast reservations,
+    /// out-of-order retires, slow parking, fetches and receives, the ring
+    /// hands back packets in exactly their arrival order, with no loss or
+    /// duplication, and everything drains once all packets land.
     #[test]
     fn swring_delivers_in_push_order(ops in prop::collection::vec(ring_op(), 1..300)) {
-        let mut ring: SwRing<u64> = SwRing::new(4096, 16);
-        let mut next = 0u64;
+        let mut ring = SwRing::new(4096);
+        let mut in_flight: Vec<u64> = Vec::new();
+        let mut fetching: Vec<u64> = Vec::new();
         let mut delivered: Vec<u64> = Vec::new();
         for op in ops {
             match op {
-                RingOp::PushFast => {
-                    if ring.push_fast(next).is_ok() {
-                        next += 1;
+                RingOp::PushFast => in_flight.extend(ring.reserve_fast()),
+                RingOp::Retire(i) => {
+                    if !in_flight.is_empty() {
+                        let seq = in_flight.swap_remove(i as usize % in_flight.len());
+                        land(&mut ring, seq, false);
                     }
                 }
                 RingOp::PushSlow => {
-                    let _ = ring.push_slow(next);
-                    next += 1;
+                    ring.park_slow(ring_pkt(ring.arrivals()), Time::ZERO);
                 }
-                RingOp::Recv(max) => {
-                    delivered.extend(ring.async_recv(max as usize).delivered);
+                RingOp::Fetch(max) => {
+                    let mut batch = Vec::new();
+                    ring.take_fetch_batch(Time::ZERO, max as usize, &mut batch);
+                    fetching.extend(batch.iter().map(|sp| sp.nic_seq));
                 }
+                RingOp::Recv(max) => delivered.extend(recv(&mut ring, max as usize)),
                 RingOp::CompleteFetches => {
-                    let inflight = ring.fetching();
-                    ring.fetch_complete(inflight);
+                    for seq in fetching.drain(..) {
+                        land(&mut ring, seq, true);
+                    }
                 }
             }
-            // Conservation at every step: nothing pushed is ever lost or
-            // duplicated, whatever the interleaving.
+            // Conservation at every step: every sequence number assigned
+            // is delivered, ready, parked or in flight, exactly once.
+            prop_assert_eq!(ring.base(), delivered.len() as u64);
             prop_assert_eq!(
-                ring.delivered() + ring.len() as u64,
-                next,
-                "delivered() + len() must equal pushed total"
+                delivered.len()
+                    + ring.ready_len()
+                    + ring.parked_len()
+                    + ring.fetching() as usize
+                    + ring.inflight() as usize,
+                ring.arrivals() as usize,
+                "delivered + ready + parked + in flight must equal arrivals"
             );
+            prop_assert_eq!(ring.inflight() as usize, in_flight.len());
+            prop_assert_eq!(ring.fetching() as usize, fetching.len());
         }
-        // Drain: complete fetches and receive until quiescent.
-        for _ in 0..next + 8 {
-            let inflight = ring.fetching();
-            ring.fetch_complete(inflight);
-            let out = ring.async_recv(64);
-            delivered.extend(out.delivered);
-            if ring.is_empty() {
-                break;
-            }
+        // Drain: land everything in flight, fetch the rest, receive.
+        for seq in in_flight.drain(..) {
+            land(&mut ring, seq, false);
         }
-        prop_assert!(ring.is_empty(), "ring must drain fully");
-        prop_assert_eq!(delivered.len() as u64, next, "no loss, no duplication");
-        for (i, &v) in delivered.iter().enumerate() {
-            prop_assert_eq!(v, i as u64, "delivery out of order at {}", i);
-        }
-        prop_assert_eq!(ring.delivered(), next);
+        fetch_and_land_all(&mut ring, &mut fetching);
+        delivered.extend(recv(&mut ring, usize::MAX));
+        prop_assert!(!ring.has_pending(), "ring must drain fully");
+        let want: Vec<u64> = (0..ring.arrivals()).collect();
+        prop_assert_eq!(delivered, want, "no loss, no duplication, arrival order");
     }
 
-    /// The fast ring's occupancy bound is never violated and push_fast
-    /// fails exactly when the bound is reached.
+    /// The fast ring's descriptor bound is never violated and
+    /// `reserve_fast` fails exactly when the bound is reached.
     #[test]
-    fn swring_fast_capacity_enforced(cap in 1usize..64, pushes in 1usize..200) {
-        let mut ring: SwRing<usize> = SwRing::new(cap, 8);
+    fn swring_fast_capacity_enforced(cap in 1u32..64, pushes in 1u32..200) {
+        let mut ring = SwRing::new(cap);
         let mut accepted = 0;
-        for i in 0..pushes {
-            if ring.push_fast(i).is_ok() {
+        for _ in 0..pushes {
+            if ring.reserve_fast().is_some() {
                 accepted += 1;
             }
-            prop_assert!(ring.fast_occupancy() <= cap);
+            prop_assert!(ring.outstanding() <= cap);
         }
         prop_assert_eq!(accepted, pushes.min(cap));
+        prop_assert_eq!(ring.arrivals(), u64::from(accepted), "refusals take no sequence number");
     }
 
     /// Regression property for the occupancy confusion the bounded model
     /// checker caught: delivering *fetched slow* entries must not release
     /// fast-path capacity, because they never held an RX-ring descriptor.
-    /// After delivering any number of slow entries, the ring accepts
-    /// exactly `cap - undelivered_fast` further fast pushes — never more.
+    /// After delivering every fast and slow entry, the ring accepts
+    /// exactly `cap` further fast reservations — never more.
     #[test]
     fn swring_slow_delivery_does_not_free_fast_slots(
-        cap in 1usize..16,
-        slow in 1usize..32,
-        fast_before in 0usize..16,
+        cap in 1u32..16,
+        slow in 1u32..32,
+        fast_before in 0u32..16,
     ) {
-        let mut ring: SwRing<usize> = SwRing::new(cap, 64);
-        let mut fast_held = 0;
-        for i in 0..fast_before {
-            if ring.push_fast(i).is_ok() {
-                fast_held += 1;
-            }
+        let mut ring = SwRing::new(cap);
+        let held: Vec<u64> = (0..fast_before).filter_map(|_| ring.reserve_fast()).collect();
+        for seq in held {
+            land(&mut ring, seq, false);
         }
-        for j in 0..slow {
-            let _ = ring.push_slow(1000 + j);
+        for _ in 0..slow {
+            ring.park_slow(ring_pkt(ring.arrivals()), Time::ZERO);
         }
-        // Deliver everything currently deliverable plus all slow entries.
-        let _ = ring.async_recv(usize::MAX);
-        ring.fetch_complete(ring.fetching());
-        while !ring.is_empty() {
-            let out = ring.async_recv(usize::MAX);
-            ring.fetch_complete(ring.fetching());
-            if out.delivered.is_empty() && out.fetch_issued == 0 {
-                break;
-            }
-        }
-        prop_assert!(ring.is_empty());
+        fetch_and_land_all(&mut ring, &mut Vec::new());
+        let delivered = recv(&mut ring, usize::MAX);
+        prop_assert_eq!(delivered.len() as u64, ring.arrivals());
+        prop_assert!(!ring.has_pending());
         // All fast entries were delivered too, so the full capacity — and
         // not one slot more — must now be available.
-        let mut reaccepted = 0;
-        for i in 0..cap + slow {
-            if ring.push_fast(i).is_ok() {
-                reaccepted += 1;
-            }
-        }
-        prop_assert_eq!(reaccepted, cap, "freed slots must equal capacity exactly");
-        let _ = fast_held;
+        let reaccepted = (0..cap + slow).filter_map(|_| ring.reserve_fast()).count();
+        prop_assert_eq!(reaccepted, cap as usize, "freed slots must equal capacity exactly");
     }
 }
 

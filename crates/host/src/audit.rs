@@ -19,16 +19,19 @@
 //!   on the NIC) has an arrival sequence *below* the delivery pointer:
 //!   that would mean a later packet overtook it, the exact reordering the
 //!   §4.2 phase-exclusivity rule exists to prevent. The host-ready side is
-//!   a ring indexed from its base, so the check also asserts that base
-//!   *is* the delivery pointer: the structural guarantee is audited, not
-//!   assumed.
+//!   a ring indexed from its base, which *is* the delivery pointer.
+//! * **no-orphan-hole** — when a flow's delivery front is a hole while
+//!   ready packets wait behind it, something that can fill the hole must
+//!   exist: a reserved descriptor in flight, a parked packet, or a fetch
+//!   in flight. Otherwise the flow is wedged for good (a packet dropped
+//!   before it retired kept its sequence number).
 //! * **llc-io-occupancy** — DDIO-resident I/O bytes never exceed the
 //!   reachable LLC partition capacity (what credit admission guarantees).
 //! * **iio-occupancy** — staged bytes never exceed the IIO buffer.
 //! * **poll-scan-hints** — the bookkeeping a core poll trusts to skip
 //!   work is never stale in the unsafe direction: every listed flow
-//!   records its own core and list position, every flow with a non-empty
-//!   `ready` or `slow_queue` has the busy bit at that position set, and
+//!   records its own core and list position, every flow with ready or
+//!   parked packets has the busy bit at that position set, and
 //!   every core whose service list holds an inactive flow is flagged for
 //!   a retain.
 //!
@@ -93,14 +96,14 @@ impl HostAuditor {
             "ring-occupancy",
             |st: &HostState| {
                 for (id, f) in &st.flows {
-                    if f.ring_outstanding() > f.ring_capacity {
+                    if f.ring.outstanding() > f.ring.capacity() {
                         return Err((
                             format!("flow {} host-ring outstanding exceeds capacity", id.0),
                             vec![
                                 ("flow", id.0.to_string()),
-                                ("ring_occupancy", f.ring_occupancy.to_string()),
-                                ("ring_inflight", f.ring_inflight.to_string()),
-                                ("ring_capacity", f.ring_capacity.to_string()),
+                                ("ring_occupancy", f.ring.occupancy().to_string()),
+                                ("ring_inflight", f.ring.inflight().to_string()),
+                                ("ring_capacity", f.ring.capacity().to_string()),
                             ],
                         ));
                     }
@@ -119,28 +122,10 @@ impl HostAuditor {
             "phase-exclusivity",
             |st: &HostState| {
                 for (id, f) in &st.flows {
-                    // The ring is indexed from its base; if that ever
-                    // drifted from the delivery pointer, the check below
-                    // would be reading the wrong sequence numbers.
-                    if f.ready.base() != f.next_deliver_seq {
-                        return Err((
-                            format!(
-                                "flow {}: delivery ring base is not the delivery pointer",
-                                id.0
-                            ),
-                            vec![
-                                ("flow", id.0.to_string()),
-                                ("next_deliver_seq", f.next_deliver_seq.to_string()),
-                                ("ring_base", f.ready.base().to_string()),
-                            ],
-                        ));
-                    }
-                    let min_ready = f.ready.first().map(|(seq, _)| seq);
-                    let overtaken_ready = min_ready.is_some_and(|seq| seq < f.next_deliver_seq);
-                    let overtaken_slow = f
-                        .slow_queue
-                        .iter()
-                        .any(|sp| sp.nic_seq < f.next_deliver_seq);
+                    let base = f.ring.base();
+                    let min_ready = f.ring.first().map(|(seq, _)| seq);
+                    let overtaken_ready = min_ready.is_some_and(|seq| seq < base);
+                    let overtaken_slow = f.ring.parked().any(|sp| sp.nic_seq < base);
                     if overtaken_ready || overtaken_slow {
                         return Err((
                             format!(
@@ -150,7 +135,7 @@ impl HostAuditor {
                             ),
                             vec![
                                 ("flow", id.0.to_string()),
-                                ("next_deliver_seq", f.next_deliver_seq.to_string()),
+                                ("next_deliver_seq", base.to_string()),
                                 (
                                     "min_ready_seq",
                                     min_ready
@@ -159,8 +144,9 @@ impl HostAuditor {
                                 ),
                                 (
                                     "min_slow_seq",
-                                    f.slow_queue
-                                        .front()
+                                    f.ring
+                                        .parked()
+                                        .next()
                                         .map(|sp| sp.nic_seq.to_string())
                                         .unwrap_or_else(|| "-".into()),
                                 ),
@@ -172,7 +158,34 @@ impl HostAuditor {
             },
         )));
 
-        // 5. LLC I/O occupancy within the DDIO-reachable partition.
+        // 5. No orphan hole: a hole at the delivery front can be filled.
+        registry.register(Box::new(FnInvariant::new(
+            "no-orphan-hole",
+            |st: &HostState| {
+                for (id, f) in &st.flows {
+                    let r = &f.ring;
+                    let can_fill = r.inflight() > 0 || r.parked_len() > 0 || r.fetching() > 0;
+                    if r.blocked_by_hole() && !can_fill {
+                        return Err((
+                            format!(
+                                "flow {}: delivery front {} is a hole nothing in flight can fill",
+                                id.0,
+                                r.base()
+                            ),
+                            vec![
+                                ("flow", id.0.to_string()),
+                                ("next_deliver_seq", r.base().to_string()),
+                                ("ready", r.ready_len().to_string()),
+                                ("arrivals", r.arrivals().to_string()),
+                            ],
+                        ));
+                    }
+                }
+                Ok(())
+            },
+        )));
+
+        // 6. LLC I/O occupancy within the DDIO-reachable partition.
         registry.register(Box::new(FnInvariant::new(
             "llc-io-occupancy",
             |st: &HostState| {
@@ -192,7 +205,7 @@ impl HostAuditor {
             },
         )));
 
-        // 6. IIO staging occupancy.
+        // 7. IIO staging occupancy.
         registry.register(Box::new(FnInvariant::new(
             "iio-occupancy",
             |st: &HostState| {
@@ -212,7 +225,7 @@ impl HostAuditor {
             },
         )));
 
-        // 7. Core-poll scan hints (list positions, busy bits, retain flags).
+        // 8. Core-poll scan hints (list positions, busy bits, retain flags).
         registry.register(Box::new(FnInvariant::new(
             "poll-scan-hints",
             |st: &HostState| {
@@ -235,13 +248,13 @@ impl HostAuditor {
                     let list = &st.core_flows[f.core];
                     let busy =
                         list.ids().get(f.list_pos) == Some(&id) && list.is_busy(f.list_pos);
-                    if !busy && (!f.ready.is_empty() || !f.slow_queue.is_empty()) {
+                    if !busy && f.ring.has_queued() {
                         return Err((
                             format!("flow {} has queued packets but a clear busy bit", id.0),
                             vec![
                                 ("flow", id.0.to_string()),
-                                ("ready", f.ready.len().to_string()),
-                                ("slow_queue", f.slow_queue.len().to_string()),
+                                ("ready", f.ring.ready_len().to_string()),
+                                ("slow_queue", f.ring.parked_len().to_string()),
                             ],
                         ));
                     }
@@ -312,11 +325,9 @@ impl Invariant<HostState> for DeliveryOrder {
 
     fn check(&mut self, ctx: &AuditCtx<'_>, st: &HostState, sink: &mut AuditSink) {
         for (id, f) in &st.flows {
-            let prev = self
-                .last_deliver
-                .insert(id, f.next_deliver_seq)
-                .unwrap_or(0);
-            if f.next_deliver_seq < prev {
+            let base = f.ring.base();
+            let prev = self.last_deliver.insert(id, base).unwrap_or(0);
+            if base < prev {
                 sink.report(
                     ctx,
                     self.name(),
@@ -324,24 +335,24 @@ impl Invariant<HostState> for DeliveryOrder {
                     vec![
                         ("flow", id.0.to_string()),
                         ("prev", prev.to_string()),
-                        ("next_deliver_seq", f.next_deliver_seq.to_string()),
+                        ("next_deliver_seq", base.to_string()),
                     ],
                 );
             }
-            if f.next_deliver_seq > f.nic_seq_next {
+            if base > f.ring.arrivals() {
                 sink.report(
                     ctx,
                     self.name(),
                     format!("flow {}: delivery pointer beyond arrival sequence", id.0),
                     vec![
                         ("flow", id.0.to_string()),
-                        ("next_deliver_seq", f.next_deliver_seq.to_string()),
-                        ("nic_seq_next", f.nic_seq_next.to_string()),
+                        ("next_deliver_seq", base.to_string()),
+                        ("nic_seq_next", f.ring.arrivals().to_string()),
                     ],
                 );
             }
             let mut last_slow: Option<u64> = None;
-            for sp in &f.slow_queue {
+            for sp in f.ring.parked() {
                 if let Some(prev_seq) = last_slow {
                     if sp.nic_seq <= prev_seq {
                         sink.report(

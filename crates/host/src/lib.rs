@@ -37,11 +37,12 @@ pub mod rxq;
 pub mod scope;
 mod service;
 pub mod slab;
+pub mod swring;
 pub mod telemetry;
 
 pub use audit::HostAuditor;
 pub use config::HostConfig;
-pub use flowstate::{FlowState, ReadyPkt, SlowPkt};
+pub use flowstate::FlowState;
 pub use machine::{
     arm_chaos, run_to_report, AppFactory, EngineStats, Event, FailoverStats, HostState, Machine,
     RecoveryStats, WATCHDOG_INTERVAL,
@@ -51,4 +52,5 @@ pub use policy::{DrainRequest, IoPolicy, SteerDecision, UnmanagedPolicy};
 pub use rxq::{QueueState, RxQueue, RxQueueStats};
 pub use scope::{arm_scope, DEFAULT_SCOPE_CAP};
 pub use slab::{DmaId, PktId};
+pub use swring::{ReadyPkt, SlowPkt, SwRing};
 pub use telemetry::HostTrace;

@@ -31,37 +31,23 @@ impl<P: IoPolicy> Machine<P> {
             return None;
         }
         let f = self.st.flows.get_mut(&flow)?;
-        let batch = &mut self.slow_batch;
-        let mut total = 0u64;
-        while batch.len() < fetch as usize {
-            match f.slow_queue.front() {
-                Some(sp) if sp.ready_at_nic <= now => {
-                    total += sp.pkt.bytes;
-                    batch.push(
-                        f.slow_queue
-                            .pop_front()
-                            .expect("invariant: loop guard ensured `slow_queue` is non-empty"),
-                    );
-                }
-                _ => break,
-            }
-        }
-        if batch.is_empty() {
+        let total = f
+            .ring
+            .take_fetch_batch(now, fetch as usize, &mut self.slow_batch);
+        if self.slow_batch.is_empty() {
             return None;
         }
         match self.st.dma.try_read_request(now) {
             Ok(at_nic) => {
                 self.st.read_attempts = 0;
-                let f = self
-                    .st
-                    .flows
-                    .get_mut(&flow)
-                    .expect("invariant: flow presence was checked earlier in this handler");
-                f.slow_fetch_inflight += batch.len() as u32;
                 let data_ready = self.st.onboard.read(at_nic, total);
                 let at_host = self.st.dma.read_completion(data_ready, total);
-                self.st
-                    .trace_event(now, Some(flow.0), TraceKind::SlowFetch, batch.len() as u64);
+                self.st.trace_event(
+                    now,
+                    Some(flow.0),
+                    TraceKind::SlowFetch,
+                    self.slow_batch.len() as u64,
+                );
                 for sp in &self.slow_batch {
                     self.st.trace_stage(
                         Some(flow.0),
@@ -92,9 +78,7 @@ impl<P: IoPolicy> Machine<P> {
                     .flows
                     .get_mut(&flow)
                     .expect("invariant: flow presence was checked earlier in this handler");
-                for sp in self.slow_batch.drain(..).rev() {
-                    f.slow_queue.push_front(sp);
-                }
+                f.ring.return_fetch(&mut self.slow_batch);
                 self.st.core_flows[f.core].set_busy(f.list_pos);
                 None
             }
@@ -167,7 +151,7 @@ impl<P: IoPolicy> Machine<P> {
         // retires flows, so it cannot change during the scan.
         //
         // Idle flows are never visited. An idle flow has nothing retired
-        // into `ready` and nothing parked in `slow_queue`, so its iteration
+        // into its ring and nothing parked on the NIC, so its iteration
         // would be a no-op — an empty batch, no gap stall, no drain request
         // from any in-tree policy, and a slow fetch that returns before
         // touching state — and passing it leaves the round-robin cursor and
@@ -199,16 +183,15 @@ impl<P: IoPolicy> Machine<P> {
                     self.st.flows.get_mut(&flow_id).expect(
                         "invariant: service lists hold only ids present in `self.st.flows`",
                     );
-                if f.ready.is_empty() && f.slow_queue.is_empty() {
+                if !f.ring.has_queued() {
                     self.st.core_flows[core].clear_busy(pos);
                     continue;
                 }
-                f.take_deliverable(now, batch_size, &mut self.batch);
+                f.ring.take_deliverable(now, batch_size, &mut self.batch);
                 let gap_stall = self.batch.is_empty()
-                    && f.ready
+                    && f.ring
                         .first()
-                        .map(|(seq, rp)| seq != f.next_deliver_seq && rp.ready <= now)
-                        .unwrap_or(false);
+                        .is_some_and(|(seq, rp)| seq != f.ring.base() && rp.ready <= now);
                 (gap_stall, f.spec.class)
             };
             if !self.batch.is_empty() {

@@ -242,7 +242,7 @@ impl<P: IoPolicy> Machine<P> {
                 // with full loss accounting so nothing is stranded.
                 self.st.failover.head_dropped_pkts += 1;
                 if let Some(f) = self.st.flows.get_mut(&pd.pkt.flow) {
-                    f.ring_inflight = f.ring_inflight.saturating_sub(1);
+                    f.ring.abort_fast(pd.nic_seq);
                 }
                 self.st.account_drop(now, pd.pkt.flow, pd.pkt.bytes, true);
                 self.policy.on_fast_drop(&mut self.st, now, pd.pkt.flow);

@@ -14,6 +14,7 @@
 use crate::policy::IoPolicy;
 use crate::rxq::PendingDma;
 use crate::slab::DmaId;
+use crate::swring::ReadyPkt;
 use ceio_pcie::DmaError;
 use ceio_sim::{Duration, EventQueue, Time};
 use ceio_telemetry::{Stage, TraceKind};
@@ -163,7 +164,7 @@ impl<P: IoPolicy> Machine<P> {
                         self.st.rxq[q].pending_bytes -= bytes;
                         self.st.recovery.dma_retry_drops += 1;
                         if let Some(f) = self.st.flows.get_mut(&pd.pkt.flow) {
-                            f.ring_inflight = f.ring_inflight.saturating_sub(1);
+                            f.ring.abort_fast(pd.nic_seq);
                         }
                         self.st.trace_event(
                             now,
@@ -265,28 +266,17 @@ impl<P: IoPolicy> Machine<P> {
 
         let mut poll_core = None;
         if let Some(f) = self.st.flows.get_mut(&pkt.flow) {
-            if via_slow {
-                f.slow_fetch_inflight = f.slow_fetch_inflight.saturating_sub(1);
-            } else {
-                f.ring_inflight = f.ring_inflight.saturating_sub(1);
-            }
-            if f.is_stale(nic_seq) {
+            let rp = ReadyPkt {
+                pkt,
+                buf,
+                ready: now,
+                via_slow,
+            };
+            if f.ring.retire(nic_seq, rp) {
                 // In-flight packet of a torn-down connection: free it.
                 f.accounted += 1;
                 self.st.memctrl.consume(buf);
             } else {
-                if !via_slow {
-                    f.ring_occupancy += 1;
-                }
-                f.ready.insert(
-                    nic_seq,
-                    crate::flowstate::ReadyPkt {
-                        pkt,
-                        buf,
-                        ready: now,
-                        via_slow,
-                    },
-                );
                 self.st.core_flows[f.core].set_busy(f.list_pos);
                 poll_core = Some(f.core);
             }

@@ -12,7 +12,6 @@
 //! `NicRx` carries a [`PktId`]; the wire packet is interned at emission and
 //! redeemed here, so the event stays two words on the engine's hot path.
 
-use crate::flowstate::SlowPkt;
 use crate::policy::{IoPolicy, SteerDecision};
 use crate::rxq::PendingDma;
 use crate::slab::PktId;
@@ -99,21 +98,23 @@ impl<P: IoPolicy> Machine<P> {
                     .get_mut(&pkt.flow)
                     .expect("invariant: flow presence was checked earlier in this handler");
                 f.cca.on_feedback(now, pkt.ecn || mark);
-                let ring_full = f.ring_free() == 0;
-                if ring_full || staging_full {
+                let reserved = if staging_full {
+                    None
+                } else {
+                    f.ring.reserve_fast()
+                };
+                let Some(nic_seq) = reserved else {
                     // No RX descriptor, or this queue's staging partition
                     // overflowed while its DMA pipeline is backpressured:
                     // the NIC must drop.
-                    if !ring_full {
+                    if f.ring.free() > 0 {
                         self.st.rxq[q].stats.staging_drops += 1;
                     }
                     f.note_drop(now, true);
                     self.st.count_drop(now, pkt.flow, pkt.bytes);
                     self.policy.on_fast_drop(&mut self.st, now, pkt.flow);
                     return;
-                }
-                f.ring_inflight += 1;
-                let nic_seq = f.take_seq();
+                };
                 let buf = self.st.alloc_buf();
                 self.st.rxq[q].push(PendingDma {
                     pkt,
@@ -133,12 +134,7 @@ impl<P: IoPolicy> Machine<P> {
                 f.cca.on_feedback(now, pkt.ecn || mark);
                 match self.st.onboard.write(now + fw, pkt.bytes) {
                     Some(ready_at_nic) => {
-                        let nic_seq = f.take_seq();
-                        f.slow_queue.push_back(SlowPkt {
-                            pkt,
-                            nic_seq,
-                            ready_at_nic,
-                        });
+                        f.ring.park_slow(pkt, ready_at_nic);
                         f.counters.slow_pkts += 1;
                         self.st.core_flows[f.core].set_busy(f.list_pos);
                         self.st

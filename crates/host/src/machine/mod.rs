@@ -7,8 +7,8 @@
 //! Emit ─▶ (ingress link: serialize, ECN/drop) ─▶ NicRx
 //!   NicRx: RMT/policy steer
 //!     FastPath ─▶ [DMA credit + pacing] ─▶ HostArrive (IIO stage)
-//!                   ─▶ HostRetire (LLC/DRAM retire) ─▶ flow.ready
-//!     SlowPath ─▶ on-NIC memory ─▶ flow.slow_queue (await driver drain)
+//!                   ─▶ HostRetire (LLC/DRAM retire) ─▶ flow.ring
+//!     SlowPath ─▶ on-NIC memory ─▶ flow.ring, parked (await driver drain)
 //!     Drop     ─▶ loss feedback to DCTCP
 //!   CorePoll: driver poll hook (slow drain) + in-order batch delivery to
 //!             the app, charging memory stalls, compute, copies
@@ -42,12 +42,13 @@ pub use control::{arm_chaos, FailoverStats, WATCHDOG_INTERVAL};
 pub use dma::RecoveryStats;
 
 use crate::config::HostConfig;
-use crate::flowstate::{FlowState, ReadyPkt, SlowPkt};
+use crate::flowstate::FlowState;
 use crate::measure::{Measurements, RunReport};
 use crate::policy::IoPolicy;
 use crate::rxq::{PendingDma, RxQueue};
 use crate::service::ServiceList;
 use crate::slab::{DmaId, PayloadSlabs, PktId};
+use crate::swring::{ReadyPkt, SlowPkt};
 use ceio_cpu::{Application, CpuCore};
 use ceio_mem::{BufferId, MemoryController};
 use ceio_net::generator::Pacing;
@@ -171,9 +172,9 @@ pub struct HostState {
     pub cores: Vec<CpuCore>,
     /// Per-core service lists: the flows each core polls, round-robin.
     /// Each flow sits at position [`FlowState::list_pos`] of its core's
-    /// list, whose busy bit there is set wherever the flow's `ready` or
-    /// `slow_queue` becomes non-empty and cleared when a core poll's scan
-    /// finds both empty. A clear bit proves the flow idle, so the scan
+    /// list, whose busy bit there is set wherever the flow's ring gains a
+    /// ready or parked packet and cleared when a core poll's scan finds
+    /// neither. A clear bit proves the flow idle, so the scan
     /// jumps past it without touching its [`FlowState`].
     pub(crate) core_flows: Vec<ServiceList>,
     core_rr: Vec<usize>,
@@ -299,7 +300,7 @@ impl HostState {
     pub fn total_ring_outstanding(&self) -> u64 {
         self.flows
             .values()
-            .map(|f| f.ring_outstanding() as u64)
+            .map(|f| f.ring.outstanding() as u64)
             .sum()
     }
 
@@ -316,7 +317,7 @@ impl HostState {
     pub fn slow_queue_len(&self, flow: FlowId) -> usize {
         self.flows
             .get(&flow)
-            .map(|f| f.slow_queue.len())
+            .map(|f| f.ring.parked_len())
             .unwrap_or(0)
     }
 

@@ -97,9 +97,9 @@ pub trait IoPolicy {
     /// call): decide whether to drain the slow path.
     ///
     /// Invoked only for flows that had work when the poll reached them:
-    /// packets retired into the flow's `ready` buffer or parked in its
-    /// `slow_queue` (when the poll delivers a batch, the hook runs after
-    /// that batch left `ready`). A core poll skips idle flows before
+    /// packets retired into the flow's ring or parked on the NIC (when
+    /// the poll delivers a batch, the hook runs after that batch left the
+    /// ring). A core poll skips idle flows before
     /// reaching this hook, so an implementation must not rely on being
     /// called for them (to observe time passing, say); use the controller
     /// loop for that.

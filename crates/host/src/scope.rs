@@ -181,7 +181,7 @@ pub(crate) fn scope_sample(st: &HostState, now: Time, rec: &mut FlightRecorder) 
     );
     let mut backlog = vec![0u64; st.rxq.len()];
     for (id, f) in &st.flows {
-        backlog[st.queue_of(id)] += f.slow_queue.len() as u64;
+        backlog[st.queue_of(id)] += f.ring.parked_len() as u64;
     }
     for (q, rxq) in st.rxq.iter().enumerate() {
         rec.record_queue("rxq_depth", q, now, rxq.pending_len() as f64);

@@ -181,11 +181,17 @@ mod chaos {
     use super::*;
     use ceio_chaos::{FaultPlan, FaultSite};
 
+    /// Write-fault rates. 0.6 makes the DMA retry budget run out now and
+    /// then while packets still get through: a packet dropped that way
+    /// must give up its sequence number, or every later packet of its
+    /// flow waits behind it forever. (At 0.01 and 0.1 the budget is
+    /// never exhausted; at 1.0 nothing ever retires.)
     fn fault_rate() -> impl Strategy<Value = f64> {
         prop_oneof![
             3 => Just(0.0),
             2 => Just(0.01),
             2 => Just(0.1),
+            2 => Just(0.6),
             1 => Just(1.0),
         ]
     }

@@ -182,8 +182,10 @@ echo "==> failover smoke (queue-flap plan, 4 queues)"
 # Reuses the ceio-inspect built above. The canned queue-flap
 # plan must kill at least one RSS queue, the watchdog must fail it over
 # and bring it back to Healthy, and the credit ledger must stay
-# conserving across quarantine and restore.
-target/debug/ceio-inspect --scenario kv --millis 3 --queues 4 \
+# conserving across quarantine and restore. The run is audited: a
+# head-dropped packet must not leave its flow's delivery front a hole
+# that nothing can fill (or break any other machine invariant).
+CEIO_AUDIT=1 target/debug/ceio-inspect --scenario kv --millis 3 --queues 4 \
     --fault-plan queue-flap --seed 42 \
     --trace-out "$smoke_dir/failover-trace.json" \
     --prom-out "$smoke_dir/failover-metrics.prom" \
@@ -201,6 +203,8 @@ grep -Eq '^ceio_queue_state\{queue="[0-3]"\} 0$' "$smoke_dir/failover-metrics.pr
     || { echo "failover smoke: no queue ended the run Healthy"; exit 1; }
 grep -q "^ceio_credit_conserved 1$" "$smoke_dir/failover-metrics.prom" \
     || { echo "failover smoke: credits not conserved across quarantine/restore"; exit 1; }
+grep -q "^ceio_audit_violations_total 0$" "$smoke_dir/failover-metrics.prom" \
+    || { echo "failover smoke: the audited queue-flap run reported violations"; exit 1; }
 echo "failover smoke passed"
 
 echo "All checks passed."
