@@ -34,9 +34,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Allocations of building the `kv_ceio` machine.
-const KV_CEIO_SETUP_ALLOCS: u64 = 33;
+const KV_CEIO_SETUP_ALLOCS: u64 = 28;
 /// Allocations of building the `mixed_q4_dynamic` machine.
-const MIXED_Q4_DYNAMIC_SETUP_ALLOCS: u64 = 35;
+const MIXED_Q4_DYNAMIC_SETUP_ALLOCS: u64 = 31;
 
 /// The seed the benchmark builds with (the simulator's default).
 const SEED: u64 = 0xCE10;

@@ -4,7 +4,7 @@
 //!
 //! Flow stop and demand retargeting cancel the flow's pending emission
 //! timer (see [`crate::flowstate::FlowState::emit_timer`]), and failover
-//! cancels a failed queue's pending pump wake — both O(1) via
+//! cancels a failed queue's pending pump wake — both through a
 //! [`ceio_sim::TimerToken`] instead of letting stale events dispatch into
 //! no-ops.
 

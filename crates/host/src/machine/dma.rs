@@ -4,12 +4,13 @@
 //! Pump wake-ups are cancellable timers: each receive queue keeps at most
 //! one outstanding wake in [`crate::rxq::RxQueue::pump_timer`] (the same
 //! dedup the machine previously tracked as a bool), and failover cancels a
-//! dead queue's wake in O(1) instead of letting it fire into an empty
-//! staging queue.
+//! dead queue's wake through its token instead of letting it fire into an
+//! empty staging queue.
 //!
-//! `HostArrive`/`HostRetire` carry a [`DmaId`]; the descriptor is interned
-//! at issue (or at retire scheduling) and redeemed at dispatch, keeping the
-//! events two words on the engine's hot path.
+//! `HostArrive`/`HostRetire` carry a [`DmaId`], keeping the events two
+//! words on the engine's hot path. The descriptor is interned once, at
+//! issue; `HostArrive` reads it in place, the IIO backlog parks the handle,
+//! `HostRetire` reuses the same handle and redeems it.
 
 use crate::policy::IoPolicy;
 use crate::rxq::PendingDma;
@@ -201,9 +202,11 @@ impl<P: IoPolicy> Machine<P> {
     }
 
     /// Start retiring a staged arrival: return the write credit (fast
-    /// path), charge the memory controller, and schedule the `HostRetire`.
-    /// Shared by the direct-arrival path and the IIO-backlog drain.
-    fn begin_retire(&mut self, now: Time, pd: PendingDma, queue: &mut EventQueue<Event>) {
+    /// path), charge the memory controller, and schedule the `HostRetire`
+    /// on the same descriptor handle. Shared by the direct-arrival path and
+    /// the IIO-backlog drain.
+    fn begin_retire(&mut self, now: Time, did: DmaId, queue: &mut EventQueue<Event>) {
+        let pd = *self.st.slabs.dma(did);
         if !pd.via_slow {
             self.st.dma.complete_write_on(pd.queue);
             self.st.trace_event(
@@ -232,21 +235,15 @@ impl<P: IoPolicy> Machine<P> {
         };
         self.st
             .trace_stage(Some(pd.pkt.flow.0), Stage::Retire, done.since(now));
-        let did = self.st.slabs.intern_dma(pd);
         queue.schedule_at(done, Event::HostRetire(did));
     }
 
     pub(super) fn on_host_arrive(&mut self, now: Time, did: DmaId, queue: &mut EventQueue<Event>) {
-        let pd = self
-            .st
-            .slabs
-            .take_dma(did)
-            .expect("invariant: a HostArrive handle is interned once and redeemed once");
-        if self.st.memctrl.stage(pd.pkt.bytes) {
-            self.begin_retire(now, pd, queue);
+        if self.st.memctrl.stage(self.st.slabs.dma(did).pkt.bytes) {
+            self.begin_retire(now, did, queue);
             self.pump_all(queue, now);
         } else {
-            self.st.iio_pending.push_back(pd);
+            self.st.iio_pending.push_back(did);
         }
     }
 
@@ -261,7 +258,7 @@ impl<P: IoPolicy> Machine<P> {
             .st
             .slabs
             .take_dma(did)
-            .expect("invariant: a HostRetire handle is interned once and redeemed once");
+            .expect("invariant: a DMA handle is redeemed once, by its HostRetire");
         self.st.memctrl.retire_done(pkt.bytes);
 
         let mut poll_core = None;
@@ -289,8 +286,8 @@ impl<P: IoPolicy> Machine<P> {
         }
 
         // IIO space freed at retire: admit parked arrivals.
-        while let Some(front) = self.st.iio_pending.front().copied() {
-            if self.st.memctrl.stage(front.pkt.bytes) {
+        while let Some(&front) = self.st.iio_pending.front() {
+            if self.st.memctrl.stage(self.st.slabs.dma(front).pkt.bytes) {
                 self.st.iio_pending.pop_front();
                 self.begin_retire(now, front, queue);
             } else {

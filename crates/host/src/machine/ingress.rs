@@ -4,7 +4,7 @@
 //! Emission is a self-rescheduling chain per flow, keyed by an epoch and —
 //! since the timer overhaul — armed as a *cancellable* timer whose token
 //! lives in [`crate::flowstate::FlowState::emit_timer`]: a demand retarget
-//! or flow stop cancels the old chain in O(1) instead of letting a stale
+//! or flow stop cancels the old chain through it instead of letting a stale
 //! event dispatch and fizzle on the epoch check (which stays as
 //! defense-in-depth for same-nanosecond races that dispatch before the
 //! cancel runs).

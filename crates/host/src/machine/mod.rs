@@ -45,7 +45,7 @@ use crate::config::HostConfig;
 use crate::flowstate::FlowState;
 use crate::measure::{Measurements, RunReport};
 use crate::policy::IoPolicy;
-use crate::rxq::{PendingDma, RxQueue};
+use crate::rxq::RxQueue;
 use crate::service::ServiceList;
 use crate::slab::{DmaId, PayloadSlabs, PktId};
 use crate::swring::{ReadyPkt, SlowPkt};
@@ -60,8 +60,8 @@ use std::collections::VecDeque;
 
 /// Machine events.
 ///
-/// Heap-resident size matters: every queued event rides the engine's
-/// priority structure, so packet-carrying variants hold generational slab
+/// Size matters: the engine stores every queued event inline in its
+/// calendar keys, so packet-carrying variants hold generational slab
 /// handles ([`PktId`], [`DmaId`]) instead of payloads — the whole enum is a
 /// tag plus at most two machine words (pinned by a `size_of` test).
 #[derive(Debug, Clone, Copy)]
@@ -193,7 +193,8 @@ pub struct HostState {
     /// while every queue is usable; rewritten to the healthy-queue mask by
     /// the watchdog on failure and restored on recovery.
     queue_remap: Vec<usize>,
-    iio_pending: VecDeque<PendingDma>,
+    /// Arrivals parked until the IIO buffer has room, by descriptor handle.
+    iio_pending: VecDeque<DmaId>,
     /// Slabs interning in-flight packet payloads, so packet-carrying
     /// events are handle-sized on the event queue (see [`crate::slab`]).
     pub(crate) slabs: PayloadSlabs,

@@ -104,7 +104,7 @@ pub struct RxQueue {
     pub(crate) pending_bytes: u64,
     /// Token of the pending `Pump(q)` wake-up for this queue, if one is
     /// scheduled. Doubles as the dedup flag the machine previously kept as
-    /// a bool, and lets failover cancel a dead queue's wake in O(1).
+    /// a bool, and lets failover cancel a dead queue's wake.
     pub(crate) pump_timer: Option<TimerToken>,
     /// Consecutive failed attempts of the head DMA write.
     pub(crate) write_attempts: u32,

@@ -1,17 +1,20 @@
 //! Generational slab interning in-flight packet payloads.
 //!
-//! The engine's future-event list moves every queued event through its
-//! priority structure, so a fat event body is paid for on each push, pop,
-//! and cascade. Interning the two packet-carrying payloads ([`Packet`] for
+//! The engine's future-event list stores every queued event inline in its
+//! keys, so a fat event body is paid for on each push, drain and pop.
+//! Interning the two packet-carrying payloads ([`Packet`] for
 //! `NicRx`, [`PendingDma`] for `HostArrive`/`HostRetire`) in a slab shrinks
-//! the heap-resident `Event` to a tag plus one index-sized handle; the
-//! payload is written once at schedule time and read once at dispatch.
+//! the queued `Event` to a tag plus one index-sized handle. A packet is
+//! written once at schedule time and taken at its dispatch; a DMA
+//! descriptor is written once at issue, read in place on arrival and taken
+//! at retirement, so one slot carries it through both events.
 //!
-//! Handles are generational: a slot's generation bumps on every free, so a
-//! handle that outlives its payload (a model bug) is detected instead of
-//! silently aliasing a recycled slot. The free list is LIFO, which keeps the
-//! working set of hot slots small and — because recycling order is purely a
-//! function of the event schedule — fully deterministic.
+//! Handles are generational: a slot's generation bumps on every insert and
+//! every free, so a handle that outlives its payload (a model bug) is
+//! detected instead of silently aliasing a recycled slot. The free list is
+//! LIFO, which keeps the working set of hot slots small and — because
+//! recycling order is purely a function of the event schedule — fully
+//! deterministic.
 //!
 //! The issue for this refactor asked for a `PacketId` handle name, but
 //! [`ceio_net::PacketId`] already names the per-packet wire serial, so the
@@ -30,8 +33,12 @@ pub(crate) struct Slab<T> {
 
 #[derive(Debug)]
 struct SlabSlot<T> {
+    /// Odd while the slot holds a value, even while it is free; bumped by
+    /// every insert and every take, so a handle matches only the value it
+    /// was issued for. A freed slot keeps its stale value: `T` is `Copy`,
+    /// so nothing needs dropping, and a take writes no empty payload back.
     gen: u32,
-    value: Option<T>,
+    value: T,
 }
 
 /// Index + generation pair addressing one live slab entry.
@@ -41,7 +48,7 @@ pub struct SlabHandle {
     gen: u32,
 }
 
-impl<T> Slab<T> {
+impl<T: Copy> Slab<T> {
     pub(crate) fn new() -> Self {
         Slab {
             slots: Vec::new(),
@@ -53,19 +60,23 @@ impl<T> Slab<T> {
     pub(crate) fn insert(&mut self, value: T) -> SlabHandle {
         if let Some(idx) = self.free.pop() {
             let slot = &mut self.slots[idx as usize];
-            slot.value = Some(value);
+            slot.gen = slot.gen.wrapping_add(1);
+            slot.value = value;
             SlabHandle { idx, gen: slot.gen }
         } else {
             debug_assert!(self.slots.len() < u32::MAX as usize, "invariant: slab full");
-            self.slots.push(SlabSlot {
-                gen: 0,
-                value: Some(value),
-            });
+            self.slots.push(SlabSlot { gen: 1, value });
             SlabHandle {
                 idx: (self.slots.len() - 1) as u32,
-                gen: 0,
+                gen: 1,
             }
         }
+    }
+
+    /// Read a live entry in place. Returns `None` for a stale handle.
+    pub(crate) fn get(&self, handle: SlabHandle) -> Option<&T> {
+        let slot = self.slots.get(handle.idx as usize)?;
+        (slot.gen == handle.gen).then_some(&slot.value)
     }
 
     /// Redeem a handle, freeing its slot. Returns `None` for a stale or
@@ -75,10 +86,9 @@ impl<T> Slab<T> {
         if slot.gen != handle.gen {
             return None;
         }
-        let value = slot.value.take()?;
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(handle.idx);
-        Some(value)
+        Some(slot.value)
     }
 
     /// Number of live entries.
@@ -95,8 +105,10 @@ impl<T> Slab<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PktId(pub(crate) SlabHandle);
 
-/// Handle to an interned [`PendingDma`] riding a `HostArrive` or
-/// `HostRetire` event.
+/// Handle to an interned [`PendingDma`]: one slab slot per descriptor from
+/// DMA issue to memory retirement. The `HostArrive` event reads it in
+/// place, an IIO-parked arrival waits on it, the `HostRetire` event reuses
+/// it, and the retire redeems it exactly once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmaId(pub(crate) SlabHandle);
 
@@ -128,6 +140,13 @@ impl PayloadSlabs {
     /// Intern a DMA descriptor for a `HostArrive`/`HostRetire` event.
     pub(crate) fn intern_dma(&mut self, dma: PendingDma) -> DmaId {
         DmaId(self.dmas.insert(dma))
+    }
+
+    /// Read a DMA descriptor in place (it stays interned).
+    pub(crate) fn dma(&self, id: DmaId) -> &PendingDma {
+        self.dmas
+            .get(id.0)
+            .expect("invariant: a DMA handle stays interned until its retire")
     }
 
     /// Redeem a DMA descriptor handle.
@@ -167,5 +186,19 @@ mod tests {
         // Old handle must not alias the recycled slot.
         assert_eq!(slab.take(h), None);
         assert_eq!(slab.take(h2), Some("y"));
+    }
+
+    #[test]
+    fn get_reads_in_place_until_taken() {
+        let mut slab: Slab<u64> = Slab::new();
+        let h = slab.insert(7);
+        assert_eq!(slab.get(h), Some(&7));
+        assert_eq!(slab.get(h), Some(&7));
+        assert_eq!(slab.take(h), Some(7));
+        assert_eq!(slab.get(h), None);
+        // A recycled slot is invisible through the stale handle.
+        let h2 = slab.insert(8);
+        assert_eq!(slab.get(h), None);
+        assert_eq!(slab.get(h2), Some(&8));
     }
 }

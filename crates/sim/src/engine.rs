@@ -10,8 +10,9 @@ use crate::time::Time;
 
 /// A discrete-event model: all mutable simulation state plus an event handler.
 pub trait Model {
-    /// The event payload type dispatched through the queue.
-    type Event;
+    /// The event payload type dispatched through the queue. The queue
+    /// stores it inline in its keys, so it is `Copy` (keep it small).
+    type Event: Copy;
 
     /// Handle one event at its dispatch time. The model schedules follow-up
     /// events on `queue`; `queue.now()` equals `at` for the duration of the

@@ -5,21 +5,21 @@
 //! whole-simulation replays bit-identical — two events scheduled for the same
 //! nanosecond always dispatch in the order they were scheduled.
 //!
-//! Internally the queue is split in two:
-//!
-//! * a **generational slab** holding the event payloads, so the priority
-//!   structure only ever moves 24-byte `(time, seq, slot)` keys and so a
-//!   scheduled event can be cancelled in O(1) through a [`TimerToken`]
-//!   (cancellation frees the payload immediately; the orphaned key is
-//!   lazily skipped when it surfaces);
-//! * a **hierarchical timing wheel** (64-slot radix per level, 11 levels
-//!   covering the full `u64` nanosecond range) ordering the keys with O(1)
-//!   amortised push/pop. The binary heap it replaced is kept as a test-only
-//!   oracle (`crates/sim/tests/oracle/queue.rs`), and a property test pins
-//!   the two to identical pop order and cancel outcomes.
+//! The queue is a **calendar**: one ring of fixed-width time buckets
+//! spanning the near future, a far tier for keys beyond that span, and a
+//! sorted `ready` run holding the bucket being dispatched. Each key
+//! carries its `Copy` payload inline, so an event is written once when it
+//! is scheduled and moved once more when its bucket drains; there is no
+//! payload slab and no cascade. Cancellation needs no handle into the
+//! structure either: a [`TimerToken`] is the event's own `(time, seq)`
+//! key, and a cancelled key is simply skipped when it surfaces. The binary
+//! heap the queue once used is kept as a test-only oracle
+//! (`crates/sim/tests/oracle/queue.rs`), and a property test pins the two
+//! to identical pop order and cancel outcomes.
 
 use crate::time::{Duration, Time};
-use std::collections::VecDeque;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// An event with its scheduled dispatch time.
 #[derive(Debug, Clone)]
@@ -38,276 +38,280 @@ impl<E> PartialEq for EventEntry<E> {
 }
 impl<E> Eq for EventEntry<E> {}
 
-/// Handle to a cancellable scheduled event.
+/// Handle to a cancellable scheduled event: its `(time, seq)` dispatch key.
 ///
 /// Returned by [`EventQueue::schedule_cancellable_at`]; pass it back to
-/// [`EventQueue::cancel`] to drop the event in O(1) before it dispatches.
-/// Tokens are generational: once the event dispatches (or is cancelled) the
-/// token goes stale and further `cancel` calls return `false`, even if the
-/// underlying slot has been reused by a newer event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`EventQueue::cancel`] to drop the event before it dispatches. Once the
+/// event dispatches (or is cancelled) the token goes stale and further
+/// `cancel` calls return `false`. Tokens order as their events dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TimerToken {
-    idx: u32,
-    gen: u32,
-}
-
-/// Priority key: everything the wheel needs to order an event. The payload
-/// stays in the slab; `idx` points at its slot.
-#[derive(Debug, Clone, Copy)]
-struct Key {
     at: Time,
     seq: u64,
-    idx: u32,
 }
 
-/// Bits per wheel level: 64 slots each.
-const LEVEL_BITS: u32 = 6;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Levels needed so `LEVELS * LEVEL_BITS >= 64`: the wheel spans the whole
-/// `u64` nanosecond timeline with no overflow list.
-const LEVELS: usize = 11;
-/// End-of-chain marker of a bucket's chunk list.
-const NIL: u32 = u32::MAX;
-/// Keys per chunk of a bucket's chain.
-const CHUNK_KEYS: usize = 16;
+/// A pending event: its dispatch key and its payload, stored inline.
+#[derive(Debug, Clone, Copy)]
+struct Key<E> {
+    at: Time,
+    seq: u64,
+    event: E,
+}
 
-/// Mask of the low `bits` bits, saturating at the full word.
-#[inline]
-fn low_mask(bits: u32) -> u64 {
-    if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
+impl<E> Key<E> {
+    #[inline]
+    fn token(&self) -> TimerToken {
+        TimerToken {
+            at: self.at,
+            seq: self.seq,
+        }
     }
 }
 
-/// A run of up to [`CHUNK_KEYS`] keys of one bucket, chained to the
-/// bucket's older chunks.
+// Keys order by dispatch key alone; the payload never breaks a tie
+// because `seq` is unique.
+impl<E> PartialEq for Key<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.token() == other.token()
+    }
+}
+impl<E> Eq for Key<E> {}
+impl<E> PartialOrd for Key<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Key<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.token().cmp(&other.token())
+    }
+}
+
+/// Log2 of the bucket width: each bucket holds 16 ns of dispatch times.
+const BUCKET_BITS: u32 = 4;
+/// Buckets in the calendar ring; with 16 ns buckets it spans 32.8 µs,
+/// which holds all but a few hundred of the delays any paper workload
+/// schedules.
+const BUCKETS: usize = 2048;
+/// Mask of a bucket number's slot in the ring.
+const SLOT_MASK: u64 = BUCKETS as u64 - 1;
+/// Occupancy bitmap words: one bit per bucket.
+const WORDS: usize = BUCKETS / 64;
+/// End-of-list marker of a bucket's node chain and of the free list.
+const NIL: u32 = u32::MAX;
+
+/// The bucket number of a dispatch time.
+#[inline]
+fn bucket(at: Time) -> u64 {
+    at.0 >> BUCKET_BITS
+}
+
+/// A key in a bucket's chain, linked to the bucket's older keys (or, while
+/// free, to the next free node).
 #[derive(Debug, Clone, Copy)]
-struct Chunk {
-    keys: [Key; CHUNK_KEYS],
-    len: u32,
-    /// Next (older) chunk of the same bucket, or [`NIL`].
+struct Node<E> {
+    key: Key<E>,
     next: u32,
 }
 
-/// Hierarchical timing wheel over absolute nanosecond times.
+/// Calendar queue over absolute nanosecond times.
 ///
-/// Level `l` buckets keys by bits `[6l, 6(l+1))` of their dispatch time.
-/// A key lands on the level of its *highest bit differing from the wheel
-/// cursor*, so level 0 slots each hold exactly one nanosecond and draining a
-/// slot (sorted by `seq`) preserves same-time FIFO order. Popping re-anchors
-/// the cursor to the drained window's base before rescanning, so slots whose
-/// index is below the old cursor position are still found after a
-/// higher-level bucket is redistributed.
+/// With `cur` the bucket number of the last bucket drained:
 ///
-/// Each bucket is a chain of fixed-size chunks drawn from one shared slab,
-/// and a drained chunk returns to the slab at once. Keys of a bucket stay
-/// contiguous in runs of [`CHUNK_KEYS`], while the wheel's memory is a
-/// single high-water mark (roughly the most keys ever pending, in chunks)
-/// rather than one per bucket: once the slab has grown to it, scheduling
-/// and popping never allocate, however bursts move between buckets.
+/// * `ready[head..]` holds every key of buckets `<= cur`, sorted by
+///   `(at, seq)`, so the earliest pops off the front and a burst of
+///   same-time keys scheduled into the drained bucket appends;
+/// * the ring holds the keys of buckets `cur + 1 ..= cur + BUCKETS`, bucket
+///   `b` in slot `b % BUCKETS` (distinct slots, since the window is one ring
+///   long; slot `cur % BUCKETS` is the drained one, free for `cur +
+///   BUCKETS`);
+/// * `far` holds the rest, earliest first.
+///
+/// A key is therefore pushed once: into `ready` if its bucket is already
+/// drained, else into the ring, else into `far`. Only far keys move again,
+/// once, when the advancing window reaches them. Draining a bucket moves
+/// its chain into `ready` and sorts it, which restores same-time FIFO order
+/// and orders the distinct nanoseconds of the bucket.
+///
+/// Bucket chains are linked lists of nodes in one shared slab with an
+/// intrusive free list: the calendar's memory is a single high-water mark
+/// (the most keys ever in the ring), so once it is reached scheduling and
+/// popping never allocate, however bursts move between buckets.
 #[derive(Debug)]
-struct Wheel {
-    /// Newest chunk of each of the `LEVELS * SLOTS` buckets, row-major by
-    /// level ([`NIL`] when empty).
+struct Calendar<E> {
+    /// Newest node of each bucket's chain ([`NIL`] when empty).
     heads: Vec<u32>,
-    /// Slab of chunks; freed chunks are listed in `free`.
-    chunks: Vec<Chunk>,
-    free: Vec<u32>,
-    /// Per-level slot occupancy bitmap.
-    occupied: [u64; LEVELS],
-    /// Cursor: all wheel-resident keys have `at.0 > cur`; keys at or before
-    /// the cursor live in `ready`.
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list.
+    free: u32,
+    /// Per-slot occupancy bitmap, and a summary bit per non-zero word.
+    occupied: [u64; WORDS],
+    summary: u64,
+    /// Bucket number of the last drained bucket.
     cur: u64,
-    /// Imminent keys in dispatch order (ascending `(at, seq)`).
-    ready: VecDeque<Key>,
-    /// Scratch for sorting a drained level-0 slot by `seq`.
-    slot_keys: Vec<Key>,
+    /// Keys of drained buckets, earliest first from `head` on.
+    ready: Vec<Key<E>>,
+    head: usize,
+    /// Keys beyond the ring's window.
+    far: BinaryHeap<Reverse<Key<E>>>,
 }
 
-impl Wheel {
+impl<E: Copy> Calendar<E> {
     fn new() -> Self {
-        Wheel {
-            heads: vec![NIL; LEVELS * SLOTS],
-            chunks: Vec::new(),
-            free: Vec::new(),
-            occupied: [0; LEVELS],
+        Calendar {
+            heads: vec![NIL; BUCKETS],
+            nodes: Vec::new(),
+            free: NIL,
+            occupied: [0; WORDS],
+            summary: 0,
             cur: 0,
-            ready: VecDeque::new(),
-            slot_keys: Vec::new(),
+            ready: Vec::new(),
+            head: 0,
+            far: BinaryHeap::new(),
         }
     }
 
-    fn push(&mut self, key: Key) {
-        let at = key.at.0;
-        if at <= self.cur {
-            // Already inside the drained window: merge into the sorted ready
-            // run. Same-time keys sort after existing ones (their seq is
-            // larger), preserving FIFO.
-            let pos = self
-                .ready
-                .partition_point(|k| (k.at, k.seq) <= (key.at, key.seq));
+    fn push(&mut self, key: Key<E>) {
+        let b = bucket(key.at);
+        if b <= self.cur {
+            // Already drained: merge into the sorted ready run. A new key
+            // has the largest seq, so it sorts after any same-time key.
+            let pos = self.head + self.ready[self.head..].partition_point(|k| *k < key);
             self.ready.insert(pos, key);
-            return;
-        }
-        let diff = at ^ self.cur;
-        let level = ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize;
-        let slot = ((at >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        let b = level * SLOTS + slot;
-        let mut c = self.heads[b];
-        if c == NIL || self.chunks[c as usize].len as usize == CHUNK_KEYS {
-            c = self.alloc_chunk(c);
-            self.heads[b] = c;
-        }
-        let chunk = &mut self.chunks[c as usize];
-        chunk.keys[chunk.len as usize] = key;
-        chunk.len += 1;
-        self.occupied[level] |= 1u64 << slot;
-    }
-
-    /// An empty chunk chained in front of `next`.
-    fn alloc_chunk(&mut self, next: u32) -> u32 {
-        match self.free.pop() {
-            Some(c) => {
-                let chunk = &mut self.chunks[c as usize];
-                chunk.len = 0;
-                chunk.next = next;
-                c
-            }
-            None => {
-                let blank = Key {
-                    at: Time::ZERO,
-                    seq: 0,
-                    idx: 0,
-                };
-                self.chunks.push(Chunk {
-                    keys: [blank; CHUNK_KEYS],
-                    len: 0,
-                    next,
-                });
-                // Room for every chunk to be free at once, so frees never
-                // grow the free list.
-                self.free.reserve(self.chunks.len());
-                (self.chunks.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Refill `ready` from the wheel until it holds the minimum key (or the
-    /// wheel is empty). Amortised O(1): every key cascades down at most
-    /// `LEVELS - 1` times over its lifetime.
-    fn advance(&mut self) {
-        while self.ready.is_empty() {
-            if self.occupied[0] != 0 {
-                // Lowest occupied level-0 slot is the earliest nanosecond:
-                // drain it in seq order.
-                let slot = self.occupied[0].trailing_zeros() as usize;
-                self.occupied[0] &= !(1u64 << slot);
-                let mut c = std::mem::replace(&mut self.heads[slot], NIL);
-                while c != NIL {
-                    let chunk = &self.chunks[c as usize];
-                    self.slot_keys
-                        .extend_from_slice(&chunk.keys[..chunk.len as usize]);
-                    self.free.push(c);
-                    c = chunk.next;
-                }
-                self.slot_keys.sort_unstable_by_key(|k| k.seq);
-                debug_assert!(self.slot_keys.windows(2).all(|w| w[0].at == w[1].at));
-                if let Some(first) = self.slot_keys.first() {
-                    self.cur = first.at.0;
-                }
-                self.ready.extend(self.slot_keys.drain(..));
-                return;
-            }
-            let Some(level) = (1..LEVELS).find(|&l| self.occupied[l] != 0) else {
-                return; // wheel empty
+        } else if b - self.cur <= BUCKETS as u64 {
+            let slot = (b & SLOT_MASK) as usize;
+            let node = Node {
+                key,
+                next: self.heads[slot],
             };
-            // Redistribute the earliest occupied bucket one level down,
-            // re-anchoring the cursor to the bucket's window base first so
-            // the re-pushed keys spread over the full child range. Keys
-            // agree with the cursor on this level's bits, so none lands
-            // back in this bucket. Each chunk is freed before its keys are
-            // re-pushed, so the next chunk they need can be that one.
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            self.occupied[level] &= !(1u64 << slot);
-            let mut c = std::mem::replace(&mut self.heads[level * SLOTS + slot], NIL);
-            let lb = LEVEL_BITS * level as u32;
-            self.cur = (self.cur & !low_mask(lb + LEVEL_BITS)) | ((slot as u64) << lb);
-            while c != NIL {
-                let Chunk { keys, len, next } = self.chunks[c as usize];
-                self.free.push(c);
-                for &key in &keys[..len as usize] {
-                    debug_assert!(key.at.0 >= self.cur);
-                    self.push(key);
-                }
-                c = next;
-            }
+            let n = if self.free == NIL {
+                debug_assert!(self.nodes.len() < NIL as usize, "invariant: node slab full");
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            } else {
+                let n = self.free;
+                self.free = self.nodes[n as usize].next;
+                self.nodes[n as usize] = node;
+                n
+            };
+            self.heads[slot] = n;
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+            self.summary |= 1 << (slot / 64);
+        } else {
+            self.far.push(Reverse(key));
         }
     }
 
-    // `peek`, `pop` and `EventQueue::clean_peek` are `#[inline]`: left to
-    // the compiler they stayed out-of-line calls in the once-per-event
-    // `pop_before`, and `mixed_q4_dynamic` in `benchmark/` ran slower in
-    // 10 of 10 pairs.
+    /// Bucket number of the earliest occupied ring slot, if any: the first
+    /// set bit at or after `cur + 1`'s slot, wrapping around the ring.
     #[inline]
-    fn peek(&mut self) -> Option<&Key> {
-        self.advance();
-        self.ready.front()
+    fn next_occupied(&self) -> Option<u64> {
+        let start = ((self.cur + 1) & SLOT_MASK) as usize;
+        let w = start / 64;
+        let here = self.occupied[w] & (!0u64 << (start % 64));
+        let slot = if here != 0 {
+            w * 64 + here.trailing_zeros() as usize
+        } else {
+            let later = self.summary & ((!0u64 << w) << 1);
+            let w = match (later, self.summary) {
+                (0, 0) => return None,
+                (0, all) => all.trailing_zeros(),
+                (later, _) => later.trailing_zeros(),
+            } as usize;
+            w * 64 + self.occupied[w].trailing_zeros() as usize
+        };
+        Some(self.cur + 1 + ((slot as u64).wrapping_sub(start as u64) & SLOT_MASK))
     }
 
-    #[inline]
-    fn pop(&mut self) -> Option<Key> {
-        self.advance();
-        self.ready.pop_front()
+    /// Refill the empty `ready` run with the earliest bucket, pulling in
+    /// the far keys the advanced window now covers. Returns `false` when
+    /// the calendar is empty.
+    fn refill(&mut self) -> bool {
+        debug_assert_eq!(self.head, self.ready.len());
+        self.ready.clear();
+        self.head = 0;
+        // Ring keys all precede far keys, so the far tier is consulted only
+        // once the ring is empty.
+        let next = match (self.next_occupied(), self.far.peek()) {
+            (Some(b), _) => b,
+            (None, Some(Reverse(k))) => bucket(k.at),
+            (None, None) => return false,
+        };
+        self.cur = next;
+        let slot = (next & SLOT_MASK) as usize;
+        let mut n = std::mem::replace(&mut self.heads[slot], NIL);
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        if self.occupied[slot / 64] == 0 {
+            self.summary &= !(1 << (slot / 64));
+        }
+        // The chain runs newest first, i.e. by descending seq, so sorting
+        // the run by `(at, seq)` is an insertion sort on `at` alone: a key
+        // moves before every newer key at the same or a later time. Newer
+        // keys are mostly earlier ones (a handler's follow-up lands before
+        // timers set up earlier), so most keys append.
+        while n != NIL {
+            let node = &mut self.nodes[n as usize];
+            let key = node.key;
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = n;
+            n = next;
+            let mut i = self.ready.len();
+            self.ready.push(key);
+            while i > 0 && self.ready[i - 1].at >= key.at {
+                self.ready[i] = self.ready[i - 1];
+                i -= 1;
+            }
+            self.ready[i] = key;
+        }
+        let end = self.cur + BUCKETS as u64;
+        while let Some(k) = self.far.peek().map(|r| r.0).filter(|k| bucket(k.at) <= end) {
+            self.far.pop();
+            self.push(k);
+        }
+        true
     }
-}
-
-/// One payload slot of the generational slab.
-#[derive(Debug)]
-struct Slot<E> {
-    /// Bumped on every free; stale [`TimerToken`]s fail the generation check.
-    gen: u32,
-    /// Seq of the current occupant; orphaned keys fail the seq check.
-    seq: u64,
-    event: Option<E>,
 }
 
 /// The future-event list of a simulation.
 ///
-/// `E` is the model's event payload type. The queue tracks the current
-/// simulated time; popping an event advances the clock to its dispatch time.
+/// `E` is the model's event payload type; it is `Copy` because the queue
+/// stores it inline in its keys. The queue tracks the current simulated
+/// time; popping an event advances the clock to its dispatch time.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    wheel: Box<Wheel>,
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
+    cal: Calendar<E>,
+    /// Cancelled keys not yet passed by a dispatch, ascending.
+    cancelled: Vec<TimerToken>,
+    /// Smallest key that can still be pending: just past the last
+    /// dispatched key (dispatched keys only ever increase).
+    floor: TimerToken,
     now: Time,
+    /// Seq of the next scheduled event: also the count scheduled so far.
     next_seq: u64,
-    scheduled_total: u64,
     dispatched_total: u64,
     cancelled_total: u64,
     live: usize,
     peak_live: usize,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            wheel: Box::new(Wheel::new()),
-            slots: Vec::new(),
-            free: Vec::new(),
+            cal: Calendar::new(),
+            cancelled: Vec::new(),
+            floor: TimerToken {
+                at: Time::ZERO,
+                seq: 0,
+            },
             now: Time::ZERO,
             next_seq: 0,
-            scheduled_total: 0,
             dispatched_total: 0,
             cancelled_total: 0,
             live: 0,
@@ -322,46 +326,22 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    fn alloc(&mut self, seq: u64, event: E) -> u32 {
-        self.live += 1;
-        self.peak_live = self.peak_live.max(self.live);
-        if let Some(idx) = self.free.pop() {
-            let slot = &mut self.slots[idx as usize];
-            slot.seq = seq;
-            slot.event = Some(event);
-            idx
-        } else {
-            debug_assert!(self.slots.len() < u32::MAX as usize, "invariant: slab full");
-            self.slots.push(Slot {
-                gen: 0,
-                seq,
-                event: Some(event),
-            });
-            (self.slots.len() - 1) as u32
-        }
-    }
-
-    fn release(&mut self, idx: u32) {
-        let slot = &mut self.slots[idx as usize];
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(idx);
-        self.live -= 1;
-    }
-
-    fn schedule_key(&mut self, at: Time, event: E) -> Key {
+    fn schedule_key(&mut self, at: Time, event: E) -> TimerToken {
         debug_assert!(
             at >= self.now,
             "scheduled event in the past: at={at} now={}",
             self.now
         );
-        let at = at.max(self.now);
-        let seq = self.next_seq;
+        let key = Key {
+            at: at.max(self.now),
+            seq: self.next_seq,
+            event,
+        };
         self.next_seq += 1;
-        self.scheduled_total += 1;
-        let idx = self.alloc(seq, event);
-        let key = Key { at, seq, idx };
-        self.wheel.push(key);
-        key
+        self.live += 1;
+        self.peak_live = self.peak_live.max(self.live);
+        self.cal.push(key);
+        key.token()
     }
 
     /// Schedule `event` at absolute instant `at`.
@@ -379,13 +359,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `event` at `at` and return a [`TimerToken`] that can cancel
-    /// it in O(1) any time before it dispatches.
+    /// it any time before it dispatches.
     pub fn schedule_cancellable_at(&mut self, at: Time, event: E) -> TimerToken {
-        let key = self.schedule_key(at, event);
-        TimerToken {
-            idx: key.idx,
-            gen: self.slots[key.idx as usize].gen,
-        }
+        self.schedule_key(at, event)
     }
 
     /// Cancellable variant of [`EventQueue::schedule_in`].
@@ -394,89 +370,100 @@ impl<E> EventQueue<E> {
         self.schedule_cancellable_at(self.now + delay, event)
     }
 
-    /// Cancel a pending event in O(1). Returns `true` if the event was still
-    /// pending (and is now dropped), `false` if it already dispatched, was
-    /// already cancelled, or the token is stale. The payload is freed
-    /// immediately; the wheel's orphaned key is skipped lazily on pop.
+    /// Cancel a pending event. Returns `true` if the event was still
+    /// pending (and is now dropped), `false` if it already dispatched or
+    /// was already cancelled. The key stays queued and is skipped when it
+    /// surfaces.
+    ///
+    /// A token is pending iff it is at or above the dispatch floor and not
+    /// in the cancelled set. Only *dispatched* keys are monotone: a skipped
+    /// cancelled key does not move the clock, so later events may dispatch
+    /// before it, and its cancelled record must outlive the skip until a
+    /// dispatch passes it.
     pub fn cancel(&mut self, token: TimerToken) -> bool {
-        let Some(slot) = self.slots.get_mut(token.idx as usize) else {
-            return false;
-        };
-        if slot.gen != token.gen || slot.event.is_none() {
+        if token < self.floor || token.seq >= self.next_seq {
             return false;
         }
-        slot.event = None;
-        self.release(token.idx);
-        self.cancelled_total += 1;
-        true
+        match self.cancelled.binary_search(&token) {
+            Ok(_) => false,
+            Err(pos) => {
+                self.cancelled.insert(pos, token);
+                self.live -= 1;
+                self.cancelled_total += 1;
+                true
+            }
+        }
     }
 
-    /// Whether the key still references a live (uncancelled) payload.
+    /// Remove and return the earliest uncancelled key.
     #[inline]
-    fn is_live(&self, key: Key) -> bool {
-        let slot = &self.slots[key.idx as usize];
-        slot.seq == key.seq && slot.event.is_some()
+    fn pop_key(&mut self) -> Option<Key<E>> {
+        loop {
+            let Some(&key) = self.cal.ready.get(self.cal.head) else {
+                if self.cal.refill() {
+                    continue;
+                }
+                return None;
+            };
+            self.cal.head += 1;
+            if self.cancelled.is_empty() || self.cancelled.binary_search(&key.token()).is_err() {
+                return Some(key);
+            }
+        }
     }
 
-    /// Take the payload of a known-live key, advancing the clock.
-    fn dispatch(&mut self, key: Key) -> EventEntry<E> {
+    /// Dispatch a popped key, advancing the clock and the floor, and
+    /// retiring the cancelled records the dispatch passes.
+    #[inline]
+    fn dispatch(&mut self, key: Key<E>) -> EventEntry<E> {
         debug_assert!(key.at >= self.now, "event queue went backwards");
-        let event = self.slots[key.idx as usize]
-            .event
-            .take()
-            .expect("invariant: dispatching a live key");
-        self.release(key.idx);
         self.now = key.at;
+        self.floor = TimerToken {
+            at: key.at,
+            seq: key.seq + 1,
+        };
+        if self.cancelled.first().is_some_and(|c| *c < self.floor) {
+            let passed = self.cancelled.partition_point(|c| *c < self.floor);
+            self.cancelled.drain(..passed);
+        }
         self.dispatched_total += 1;
+        self.live -= 1;
         EventEntry {
             at: key.at,
             seq: key.seq,
-            event,
-        }
-    }
-
-    /// Discard cancelled keys at the front, returning the minimum live key
-    /// without removing it.
-    #[inline]
-    fn clean_peek(&mut self) -> Option<Key> {
-        loop {
-            let key = *self.wheel.peek()?;
-            if self.is_live(key) {
-                return Some(key);
-            }
-            self.wheel.pop();
+            event: key.event,
         }
     }
 
     /// Pop the earliest event, advancing the clock to its dispatch time.
     pub fn pop(&mut self) -> Option<EventEntry<E>> {
-        loop {
-            let key = self.wheel.pop()?;
-            if self.is_live(key) {
-                return Some(self.dispatch(key));
-            }
-        }
+        let key = self.pop_key()?;
+        Some(self.dispatch(key))
     }
 
     /// Pop the earliest event only if it dispatches strictly before
     /// `horizon`. Events at or beyond the horizon stay queued and the clock
     /// does not move. This is the single-pop primitive the run loop uses
     /// instead of a separate peek-then-pop.
+    #[inline]
     pub fn pop_before(&mut self, horizon: Time) -> Option<EventEntry<E>> {
-        let key = self.clean_peek()?;
+        let key = self.pop_key()?;
         if key.at >= horizon {
+            // Still the earliest key: it goes back on the front of the run.
+            self.cal.head -= 1;
             return None;
         }
-        self.wheel.pop();
         Some(self.dispatch(key))
     }
 
     /// Dispatch time of the next event without popping it.
     ///
-    /// Needs `&mut self`: cancelled entries at the front are lazily discarded
-    /// so the reported time always belongs to a live event.
+    /// Needs `&mut self`: cancelled entries at the front are discarded so
+    /// the reported time always belongs to a live event.
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.clean_peek().map(|k| k.at)
+        let key = self.pop_key()?;
+        self.cal.head -= 1;
+        Some(key.at)
     }
 
     /// Number of pending (live, uncancelled) events.
@@ -494,7 +481,7 @@ impl<E> EventQueue<E> {
     /// Total events ever scheduled (for run diagnostics).
     #[inline]
     pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
+        self.next_seq
     }
 
     /// Total events dispatched (popped) so far.
@@ -590,18 +577,20 @@ mod tests {
         assert_eq!(q.scheduled_total(), 2);
     }
 
-    /// Times spanning every wheel level, scheduled shuffled, pop sorted.
+    /// Times within one bucket, across the ring and deep into the far
+    /// tier, scheduled shuffled, pop sorted.
     #[test]
-    fn cross_level_times_pop_sorted() {
+    fn ring_and_far_times_pop_sorted() {
         let times = [
             1u64,
-            63,
-            64,
-            65,
-            127,
-            128,
-            4095,
-            4096,
+            15,
+            16,
+            17,
+            2047,
+            2048,
+            32_767,
+            32_768,
+            32_784,
             1 << 18,
             (1 << 18) + 1,
             1 << 30,
@@ -621,18 +610,21 @@ mod tests {
         assert_eq!(popped, want);
     }
 
-    /// Regression: after a higher-level bucket redistributes, level-0 slots
-    /// with indices *below* the old cursor's slot index must still be found
-    /// (the cursor re-anchors to the new window base).
+    /// Keys whose ring slot lies below the cursor's (the window wrapped
+    /// around the ring) are still found, in order, and a far key pulled
+    /// in by the advancing window lands before later ring keys.
     #[test]
-    fn redistribution_reaches_low_slot_indices() {
+    fn ring_wraps_and_far_keys_merge_in_order() {
+        let span = (BUCKETS as u64) << BUCKET_BITS;
         let mut q = EventQueue::new();
-        // 70 -> level-0 slot 6 of window [64,128); 130 -> slot 2 of [128,192).
-        q.schedule_at(Time(70), "a");
-        q.schedule_at(Time(130), "b");
-        assert_eq!(q.pop().map(|e| (e.at, e.event)), Some((Time(70), "a")));
-        assert_eq!(q.pop().map(|e| (e.at, e.event)), Some((Time(130), "b")));
-        assert!(q.pop().is_none());
+        q.schedule_at(Time(span - 20), "a");
+        q.schedule_at(Time(span + 40), "far");
+        assert_eq!(q.pop().map(|e| e.event), Some("a"));
+        // Slot of `span + 10` wraps below the cursor's slot.
+        q.schedule_at(Time(span + 10), "wrapped");
+        q.schedule_at(Time(span + 60), "after");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
+        assert_eq!(order, vec!["wrapped", "far", "after"]);
     }
 
     #[test]
@@ -662,6 +654,27 @@ mod tests {
         let _tok2 = q.schedule_cancellable_at(Time(2), ());
         assert!(!q.cancel(tok));
         assert_eq!(q.len(), 1);
+    }
+
+    /// A skipped cancelled key does not move the clock, so an event
+    /// scheduled afterwards can dispatch *before* it; re-cancelling the
+    /// skipped key must still report it as already cancelled.
+    #[test]
+    fn recancel_after_skip_and_earlier_dispatch_is_stale() {
+        let mut q = EventQueue::new();
+        let a = q.schedule_cancellable_at(Time(591_704_827), "a");
+        // 1. Cancel A.
+        assert!(q.cancel(a));
+        // 2. Popping skips A; the queue is empty and the clock holds at 0.
+        assert!(q.pop().is_none());
+        assert_eq!(q.now(), Time::ZERO);
+        // 3. Schedule B at 0 and dispatch it: B precedes A.
+        q.schedule_at(Time::ZERO, "b");
+        assert_eq!(q.pop().map(|e| (e.at, e.event)), Some((Time::ZERO, "b")));
+        // 4. A is still cancelled, not pending again.
+        assert!(!q.cancel(a));
+        assert_eq!(q.cancelled_total(), 1);
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! * [`time`] — integer-nanosecond simulated time ([`Time`], [`Duration`]) and
 //!   bandwidth/rate conversion helpers ([`Bandwidth`]).
 //! * [`event`] — a deterministic future-event list ([`EventQueue`]) with
-//!   FIFO tie-breaking for simultaneous events, ordered by a hierarchical
-//!   timing wheel, and O(1) timer cancellation via [`TimerToken`].
+//!   FIFO tie-breaking for simultaneous events, ordered by a calendar
+//!   queue whose keys carry their payloads, and timer cancellation via
+//!   [`TimerToken`].
 //! * [`engine`] — the [`Model`]/[`Simulation`] run loop.
 //! * [`rng`] — a seedable xoshiro256** generator so every experiment is
 //!   bit-reproducible from its seed.

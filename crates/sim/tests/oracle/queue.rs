@@ -4,9 +4,9 @@
 //! earliest-first `(time, seq, slot)` keys.
 //!
 //! Test-only reference model. `queue_reference.rs` drives random
-//! schedule/cancel/pop traces through it and through
-//! `ceio_sim::EventQueue` (the timing wheel) and requires identical pop
-//! order and cancel outcomes. Apart from this header and the imports, the
+//! schedule/cancel/pop/peek traces through it and through
+//! `ceio_sim::EventQueue` (the calendar queue) and requires identical pop
+//! order, peeks and cancel outcomes. Apart from this header and the imports, the
 //! code is unchanged except that the backend switch is gone: the heap is
 //! the queue's only priority structure. Do not optimise it.
 

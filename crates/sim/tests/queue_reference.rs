@@ -1,11 +1,13 @@
-//! `EventQueue` (the timing wheel) against the binary-heap queue it
-//! replaced.
+//! `EventQueue` (the calendar queue) against the binary-heap queue it
+//! descends from.
 //!
-//! The wheel is a pure re-representation of the future-event list: for
-//! any interleaving of scheduling (same-nanosecond FIFO bursts and offsets
-//! that cross several wheel levels), cancellation races and pops, it must
-//! produce exactly the dispatch trace of the reference in `oracle/` —
-//! every popped `(time, payload)` in order and every cancel outcome.
+//! The calendar is a pure re-representation of the future-event list: for
+//! any interleaving of scheduling (same-nanosecond FIFO bursts, offsets
+//! within one bucket, across the ring and into the far tier), cancellation
+//! races, pops, horizon-bounded pops and peeks, it must produce exactly the
+//! dispatch trace of the reference in `oracle/` — every popped
+//! `(time, payload)` in order, every peeked time, every cancel outcome and
+//! the clock after each bounded pop.
 
 mod oracle;
 
@@ -25,10 +27,16 @@ enum QueueOp {
     Cancel { pick: usize },
     /// Pop the next event.
     Pop,
+    /// Pop the next event only if it is before `now + offset`
+    /// (`offset` 0: never; the clock holds either way on a miss).
+    PopBefore { offset: u64 },
+    /// Read the next event's time; skips cancelled keys without
+    /// dispatching anything.
+    PeekTime,
 }
 
 /// Offsets biased toward 0 (same-ns FIFO bursts) and small values, with a
-/// heavy tail that crosses several wheel levels.
+/// heavy tail that crosses the calendar's ring and reaches its far tier.
 fn offset_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
         4 => Just(0u64),
@@ -45,11 +53,15 @@ fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
         3 => offset_strategy().prop_map(|offset| QueueOp::ScheduleCancellable { offset }),
         2 => any::<usize>().prop_map(|pick| QueueOp::Cancel { pick }),
         3 => Just(QueueOp::Pop),
+        2 => offset_strategy().prop_map(|offset| QueueOp::PopBefore { offset }),
+        1 => Just(QueueOp::PeekTime),
     ]
 }
 
 /// Run `ops` against one queue, returning the observable trace: every
-/// popped `(time, payload)` plus every cancel outcome, then a full drain.
+/// popped `(time, payload)`, every cancel outcome, every bounded-pop miss
+/// with the clock it left, every peek with the pending count, then a full
+/// drain.
 /// A macro because the two queues share an API but no trait.
 macro_rules! queue_trace {
     ($q:expr, $ops:expr) => {{
@@ -80,6 +92,17 @@ macro_rules! queue_trace {
                         trace.push((e.at.0, e.event, true));
                     }
                 }
+                QueueOp::PopBefore { offset } => {
+                    let horizon = q.now() + Duration::nanos(*offset);
+                    match q.pop_before(horizon) {
+                        Some(e) => trace.push((e.at.0, e.event, true)),
+                        None => trace.push((q.now().0, u64::MAX, false)),
+                    }
+                }
+                QueueOp::PeekTime => {
+                    let t = q.peek_time().map_or(u64::MAX, |t| t.0);
+                    trace.push((t, q.len() as u64, false));
+                }
             }
         }
         while let Some(e) = q.pop() {
@@ -93,12 +116,13 @@ macro_rules! queue_trace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The timing wheel and the reference heap produce identical dispatch
-    /// traces — same `(time, payload)` pop order, same cancel outcomes.
+    /// The calendar queue and the reference heap produce identical
+    /// dispatch traces — same `(time, payload)` pop order, same cancel
+    /// outcomes, same peeks and bounded-pop misses.
     #[test]
-    fn wheel_matches_heap_reference(ops in prop::collection::vec(queue_op_strategy(), 1..120)) {
-        let wheel = queue_trace!(EventQueue::<u64>::new(), &ops);
+    fn calendar_matches_heap_reference(ops in prop::collection::vec(queue_op_strategy(), 1..120)) {
+        let calendar = queue_trace!(EventQueue::<u64>::new(), &ops);
         let heap = queue_trace!(Reference::<u64>::new(), &ops);
-        prop_assert_eq!(wheel, heap);
+        prop_assert_eq!(calendar, heap);
     }
 }
