@@ -44,8 +44,8 @@
 //! `--seed` seeds both the host RNG and the fault plan, so a run's trace
 //! and metrics are exactly reproducible from its flags.
 //!
-//! Both exports are validated with the telemetry layer's own JSON checker
-//! before they are written; an invalid document is a bug and exits 1.
+//! The trace is validated with the telemetry layer's own JSON checker
+//! before it is written; an invalid document is a bug and exits 1.
 //!
 //! The shared flags are parsed by `ceio_bench::cli::RunSpec`: a malformed
 //! or missing value (including `--ring 0`) exits 2 with a one-line reason
@@ -53,13 +53,18 @@
 //! one-line reason.
 
 use ceio_bench::cli::{
-    exit_status, flag_value, parse_positive, write_output, RunSpec, DEFAULT_SCOPE_INTERVAL,
+    exit_status, flag_value, parse_positive, parse_scope_interval, parse_slos, write_output,
+    RunSpec,
 };
 use ceio_bench::workloads;
 use ceio_host::Machine;
-use ceio_sim::Time;
-use ceio_telemetry::{chrome_trace_json, json, render_html, Stage, TraceEvent};
+use ceio_sim::{Duration, Time};
+use ceio_telemetry::{chrome_trace_json, json, render_html, SloRule, Stage, TraceEvent};
 use std::process::ExitCode;
+
+/// Flight-recorder epoch when a scope mode or `--slo` arms the recorder
+/// without `--scope-interval`.
+const DEFAULT_SCOPE_INTERVAL: Duration = Duration::micros(50);
 
 /// ceio-scope output mode (the optional leading positional argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +84,8 @@ struct Outputs<'a> {
     trace_out: &'a str,
     prom_out: &'a str,
     out: Option<&'a str>,
+    scope_interval: Option<Duration>,
+    slos: Vec<SloRule>,
 }
 
 fn main() -> ExitCode {
@@ -98,6 +105,8 @@ fn main() -> ExitCode {
         trace_out: "ceio-inspect-trace.json",
         prom_out: "ceio-inspect-metrics.prom",
         out: None,
+        scope_interval: None,
+        slos: Vec::new(),
     };
     let spec = RunSpec::parse(args, 3, |flag, value| {
         match flag {
@@ -107,6 +116,8 @@ fn main() -> ExitCode {
             "--trace-out" => o.trace_out = flag_value(flag, value)?,
             "--prom-out" => o.prom_out = flag_value(flag, value)?,
             "--out" => o.out = Some(flag_value(flag, value)?),
+            "--scope-interval" => o.scope_interval = Some(parse_scope_interval(value)?),
+            "--slo" => o.slos.append(&mut parse_slos(value)?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -120,12 +131,6 @@ fn main() -> ExitCode {
         _ => Ok(spec),
     });
     exit_status(spec, |spec| run(spec, &o))
-}
-
-/// Validate a JSON document produced by our own emitters; a failure here
-/// is an exporter bug and must be loud.
-fn must_validate(what: &str, doc: &str) -> Result<(), String> {
-    json::validate(doc).map_err(|e| format!("internal error: {what} emitted invalid JSON: {e}"))
 }
 
 fn print_event_counts(events: &[TraceEvent], dropped: u64) {
@@ -158,22 +163,19 @@ fn run(spec: RunSpec, o: &Outputs) -> Result<(), String> {
 
     // Arm the flight recorder when a scope output mode or scope flag asks
     // for it (default epoch: 50 us of sim time).
-    if o.mode != Mode::Inspect || spec.scoped() {
+    if o.mode != Mode::Inspect || o.scope_interval.is_some() || !o.slos.is_empty() {
         ceio_host::arm_scope(
             &mut sim,
-            spec.scope_interval.unwrap_or(DEFAULT_SCOPE_INTERVAL),
+            o.scope_interval.unwrap_or(DEFAULT_SCOPE_INTERVAL),
             ceio_host::DEFAULT_SCOPE_CAP,
-            spec.slos.clone(),
+            o.slos.clone(),
         );
     }
 
     let report = ceio_host::run_to_report(&mut sim, spec.warmup(), spec.measure());
     let end = Time::ZERO + spec.warmup() + spec.measure();
 
-    // Metrics snapshot: prom text to file, JSON validated as a self-check.
-    let snap = sim.model.snapshot(end);
-    must_validate("snapshot", &snap.to_json())?;
-    write_output(o.prom_out, &snap.to_prom_text())?;
+    write_output(o.prom_out, &sim.model.snapshot(end).to_prom_text())?;
 
     // Scope outputs (report / timeseries modes).
     match o.mode {
@@ -232,11 +234,13 @@ fn run(spec: RunSpec, o: &Outputs) -> Result<(), String> {
     // Chrome trace export.
     let (events, dropped) = sim.model.trace_events();
     let trace = chrome_trace_json(&events, dropped);
-    must_validate("chrome trace", &trace)?;
+    // An invalid document is an exporter bug and must be loud.
+    json::validate(&trace)
+        .map_err(|e| format!("internal error: chrome trace emitted invalid JSON: {e}"))?;
     write_output(o.trace_out, &trace)?;
     // Anyone mining slo-alert events out of the trace needs to know when
     // the drop-oldest ring overflowed: early fires are silently gone.
-    if dropped > 0 && !spec.slos.is_empty() {
+    if dropped > 0 && !o.slos.is_empty() {
         eprintln!(
             "warning: trace ring evicted {dropped} events during the run; early \
              slo-alert fires may be missing from {} (raise --ring; the \

@@ -4,21 +4,21 @@
 //! ceio-experiments [--quick] [--jobs N] [name ...]
 //! ```
 //!
-//! `--jobs N` runs at most `N` of the selected experiments at once. It
-//! does not bound the thread count: inside an experiment,
-//! `runner::run_jobs` still runs every sweep point on its own thread, so
-//! `--jobs 1` is not a serial run. Every simulation stays single-threaded
-//! and deterministic. Reports are buffered and printed on stdout in
-//! selection order, so stdout is byte-identical for any `N` (pinned by the
-//! `jobs_parallelism` integration test). Wall-clock timing lines go to
+//! The selected experiments run one after another, in selection order.
+//! Inside each, `runner::run_jobs` runs the independent simulations of its
+//! sweep on at most `N` worker threads, so `--jobs N` bounds the
+//! simulation threads to `N` (`--jobs 1` is a serial run). Without
+//! `--jobs`, `N` is the machine's available parallelism. Every simulation
+//! stays single-threaded and deterministic and every report assembles its
+//! points in sweep order, so stdout is byte-identical for any `N` (pinned
+//! by the `jobs_parallelism` integration test). Each report is printed as
+//! soon as its experiment finishes; its wall-clock timing line goes to
 //! stderr, where nondeterminism belongs.
 
 // CLI entry point: exiting with status 2 on a bad argument is the
 // intended operator-facing behavior.
 #![allow(clippy::exit)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Reject a malformed invocation: exit 2 with a one-line reason on stderr
@@ -32,7 +32,7 @@ fn reject(reason: String) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    let mut jobs: usize = 1;
+    let mut jobs = None;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -43,7 +43,7 @@ fn main() {
                     .next()
                     .unwrap_or_else(|| reject("--jobs needs a value".into()));
                 jobs = match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
+                    Ok(n) if n >= 1 => Some(n),
                     _ => reject(format!("--jobs must be a positive integer, got {v:?}")),
                 };
             }
@@ -51,6 +51,7 @@ fn main() {
             name => wanted.push(name.to_string()),
         }
     }
+    let jobs = jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
 
     let all = ceio_bench::experiments::all();
     let known: Vec<&str> = all.iter().map(|(name, _)| *name).collect();
@@ -68,35 +69,10 @@ fn main() {
         ));
     }
 
-    // One shared code path for any job count: workers pull the next
-    // experiment index from an atomic counter and park (report, seconds)
-    // into its slot; the main thread then prints slots in selection order.
-    let n = selected.len();
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<Option<(String, f64)>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (_, f) = selected[i];
-                let t0 = Instant::now();
-                let report = f(quick);
-                let secs = t0.elapsed().as_secs_f64();
-                // On Err a sibling panicked while holding the lock; the
-                // scope re-raises that panic, so just drop our result.
-                if let Ok(mut slots) = done.lock() {
-                    slots[i] = Some((report, secs));
-                }
-            });
-        }
-    });
-    let done = done.into_inner().unwrap_or_else(|e| e.into_inner());
-    for ((name, _), slot) in selected.iter().zip(done) {
-        let (report, secs) =
-            slot.unwrap_or_else(|| panic!("invariant: {name} joined without a result"));
+    for (name, run) in selected {
+        let t0 = Instant::now();
+        let report = run(quick, jobs);
+        let secs = t0.elapsed().as_secs_f64();
         println!("=== {name} ({}) ===", if quick { "quick" } else { "full" });
         println!("{report}");
         eprintln!("[{name} took {secs:.1}s]");

@@ -3,8 +3,9 @@
 //!
 //! [`RunSpec::parse`] reads the flags both binaries accept — `--policy`,
 //! `--scenario`, `--millis`, `--warmup-ms`, `--seed`, `--fault-plan`,
-//! `--queues`, `--ddio-ways`, `--llc-model`, `--scope-interval`, `--slo` —
-//! and hands every other flag to the binary's own handler. It builds the
+//! `--queues`, `--ddio-ways`, `--llc-model` — and hands every other flag
+//! to the binary's own handler ([`parse_scope_interval`] and
+//! [`parse_slos`] read `ceio-inspect`'s flight-recorder flags). It builds the
 //! host configuration (the contended DPDK host with a 100 µs sample
 //! window, the requested queues and a validated LLC geometry), and
 //! [`RunSpec::workload`] builds the scenario and application pair.
@@ -25,10 +26,6 @@ use ceio_sim::Duration;
 use ceio_telemetry::{scope, SloRule};
 use std::process::ExitCode;
 use std::str::FromStr;
-
-/// Flight-recorder epoch when `--slo` (or an output mode) arms the
-/// recorder without `--scope-interval`.
-pub const DEFAULT_SCOPE_INTERVAL: Duration = Duration::micros(50);
 
 /// The workload a single run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,10 +73,6 @@ pub struct RunSpec {
     /// Host configuration: contended DPDK host, 100 µs sample window,
     /// `--queues` receive queues, `--ddio-ways`/`--llc-model` geometry.
     pub host: HostConfig,
-    /// Flight-recorder epoch (`--scope-interval`).
-    pub scope_interval: Option<Duration>,
-    /// SLO rules (`--slo`, repeatable).
-    pub slos: Vec<SloRule>,
 }
 
 impl RunSpec {
@@ -101,8 +94,6 @@ impl RunSpec {
         let mut queues = 1;
         let mut ddio_ways = None;
         let mut llc_model = None;
-        let mut scope_interval = None;
-        let mut slos = Vec::new();
         let mut args = args.into_iter();
         while let Some(flag) = args.next() {
             let value = args.next();
@@ -121,13 +112,6 @@ impl RunSpec {
                 "--queues" => queues = parse_queues(value)?,
                 "--ddio-ways" => ddio_ways = Some(parse_ddio_ways(value)?),
                 "--llc-model" => llc_model = Some(parse_llc_model(value)?),
-                "--scope-interval" => scope_interval = Some(parse_scope_duration(flag, value)?),
-                "--slo" => {
-                    let spec = flag_value(flag, value)?;
-                    let mut rules =
-                        SloRule::parse_spec(spec).map_err(|e| format!("--slo {spec:?}: {e}"))?;
-                    slos.append(&mut rules);
-                }
                 _ => {
                     if !own(flag, value)? {
                         return Err(format!("unknown argument {flag}"));
@@ -150,8 +134,6 @@ impl RunSpec {
             plan,
             plan_label: plan_spec.unwrap_or("none").to_string(),
             host,
-            scope_interval,
-            slos,
         })
     }
 
@@ -179,11 +161,6 @@ impl RunSpec {
     /// Measured span.
     pub fn measure(&self) -> Duration {
         Duration::millis(self.millis)
-    }
-
-    /// Whether the scope flags arm the flight recorder.
-    pub fn scoped(&self) -> bool {
-        self.scope_interval.is_some() || !self.slos.is_empty()
     }
 }
 
@@ -283,14 +260,20 @@ fn apply_llc_flags(
         .map_err(|e| format!("--ddio-ways/--llc-model: {e}"))
 }
 
-/// A positive sim duration (`50us`, `1ms`, bare ns) after `flag`.
-fn parse_scope_duration(flag: &str, value: Option<&str>) -> Result<Duration, String> {
-    let raw = flag_value(flag, value)?;
+/// `--scope-interval`: a positive sim duration (`50us`, `1ms`, bare ns).
+pub fn parse_scope_interval(value: Option<&str>) -> Result<Duration, String> {
+    let raw = flag_value("--scope-interval", value)?;
     match scope::parse_duration(raw) {
         Ok(d) if d > Duration::ZERO => Ok(d),
-        Ok(_) => Err(format!("{flag} must be positive")),
-        Err(e) => Err(format!("{flag} {raw:?}: {e}")),
+        Ok(_) => Err("--scope-interval must be positive".to_string()),
+        Err(e) => Err(format!("--scope-interval {raw:?}: {e}")),
     }
+}
+
+/// `--slo`: `;`-separated SLO rules.
+pub fn parse_slos(value: Option<&str>) -> Result<Vec<SloRule>, String> {
+    let spec = flag_value("--slo", value)?;
+    SloRule::parse_spec(spec).map_err(|e| format!("--slo {spec:?}: {e}"))
 }
 
 /// Resolve `--fault-plan` (seeded by `--seed`) into an armed plan.
@@ -350,7 +333,6 @@ mod tests {
             assert_eq!(s.host.sample_window, Duration::micros(100));
             assert_eq!(s.host.ring_entries, 16384);
             assert_eq!(s.host.mem.llc_model, LlcModelKind::Pool);
-            assert!(s.scope_interval.is_none() && s.slos.is_empty() && !s.scoped());
         }
     }
 
@@ -375,12 +357,6 @@ mod tests {
             "4",
             "--llc-model",
             "setassoc",
-            "--scope-interval",
-            "20us",
-            "--slo",
-            "alert=a,when=goodput_gbps,above=1",
-            "--slo",
-            "alert=b,when=drop_pps,above=1",
         ])
         .expect("valid flags parse");
         assert_eq!(s.policy, PolicyKind::ShRing);
@@ -397,9 +373,6 @@ mod tests {
         assert_eq!(s.host.num_queues, 4);
         assert_eq!(s.host.mem.ddio_ways, 4);
         assert_eq!(s.host.mem.llc_model, LlcModelKind::SetAssoc);
-        assert_eq!(s.scope_interval, Some(Duration::micros(20)));
-        assert_eq!(s.slos.len(), 2);
-        assert!(s.scoped());
         assert_eq!(
             (s.warmup(), s.measure()),
             (Duration::millis(2), Duration::millis(1))
@@ -453,16 +426,35 @@ mod tests {
             (&["--ddio-ways", "0"], "--ddio-ways"),
             (&["--ddio-ways", "13"], "--ddio-ways"),
             (&["--llc-model", "fully-assoc"], "--llc-model"),
-            (&["--scope-interval", "0ns"], "--scope-interval"),
-            (&["--scope-interval", "5xs"], "--scope-interval"),
-            (&["--slo", "alert=a,above=1"], "--slo"),
-            (&["--slo"], "--slo"),
+            // The flight-recorder flags are ceio-inspect's own.
+            (&["--scope-interval", "20us"], "--scope-interval"),
+            (&["--slo", "alert=a,when=goodput_gbps,above=1"], "--slo"),
             (&["--no-such-flag"], "--no-such-flag"),
         ];
         for (args, flag) in cases {
             let e = error(args);
             assert!(e.contains(flag), "{args:?}: {e:?} does not name {flag}");
             assert_eq!(e.lines().count(), 1, "{args:?}: {e:?} is not one line");
+        }
+    }
+
+    #[test]
+    fn scope_flag_parsers_read_values_and_name_their_flag() {
+        assert_eq!(parse_scope_interval(Some("20us")), Ok(Duration::micros(20)));
+        let rules = parse_slos(Some(
+            "alert=a,when=goodput_gbps,above=1;alert=b,when=drop_pps,above=1",
+        ));
+        assert_eq!(rules.map(|r| r.len()), Ok(2));
+        for value in [None, Some("0ns"), Some("5xs")] {
+            let e = parse_scope_interval(value).expect_err("rejected");
+            assert!(
+                e.contains("--scope-interval") && e.lines().count() == 1,
+                "{e:?}"
+            );
+        }
+        for value in [None, Some("alert=a,above=1")] {
+            let e = parse_slos(value).expect_err("rejected");
+            assert!(e.contains("--slo") && e.lines().count() == 1, "{e:?}");
         }
     }
 

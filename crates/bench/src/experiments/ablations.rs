@@ -14,7 +14,7 @@
 //!   path just like DFS transfers; CEIO's lazy release keeps continuously
 //!   consumed flows fast without any priority machinery.
 
-use crate::runner::{run_jobs, PolicyKind};
+use crate::runner::run_jobs;
 use crate::table::{self, Table};
 use crate::workloads::{self, AppKind, Transport};
 use ceio_baselines::OraclePolicy;
@@ -45,46 +45,30 @@ fn run_ceio_with(
 }
 
 /// Run the ablation suite and return the formatted report.
-pub fn run(quick: bool) -> String {
-    let spans = workloads::spans(quick);
+pub fn run(quick: bool, jobs: usize) -> String {
+    let sp = workloads::spans(quick);
     let host = workloads::contended_host(Transport::Dpdk);
     let link = host.net.link_bandwidth;
 
     // (a) async vs sync slow-path drain: all-slow echo (zero credits).
-    let h1 = host.clone();
-    let h2 = host.clone();
-    let s1 = workloads::involved_flows(1, 1024, link);
-    let s2 = workloads::involved_flows(1, 1024, link);
-    let sp = spans;
-    let pair = run_jobs(vec![
-        Box::new(move || {
-            run_ceio_with(
-                |c| CeioConfig {
-                    credit_total: 0,
-                    ..c
-                },
-                s1,
-                h1,
-                AppKind::Echo,
-                sp,
-                "slow path, async_recv",
-            )
-        }) as Box<dyn FnOnce() -> RunReport + Send>,
-        Box::new(move || {
-            run_ceio_with(
-                |c| CeioConfig {
-                    credit_total: 0,
-                    async_fetch: false,
-                    ..c
-                },
-                s2,
-                h2,
-                AppKind::Echo,
-                sp,
-                "slow path, sync recv",
-            )
-        }),
-    ]);
+    let variants = [
+        (true, "slow path, async_recv"),
+        (false, "slow path, sync recv"),
+    ];
+    let pair = run_jobs(jobs, &variants, |&(async_fetch, label)| {
+        run_ceio_with(
+            |c| CeioConfig {
+                credit_total: 0,
+                async_fetch,
+                ..c
+            },
+            workloads::involved_flows(1, 1024, link),
+            host.clone(),
+            AppKind::Echo,
+            sp,
+            label,
+        )
+    });
 
     let mut out = String::new();
     let mut t = Table::new(
@@ -105,27 +89,23 @@ pub fn run(quick: bool) -> String {
     // (b) phase exclusivity on/off: 8 overloaded KV flows cycle between
     // the paths, so disabling exclusivity lets fast packets overtake
     // parked slow ones and delivery stalls on sequence gaps.
-    let h1 = host.clone();
-    let h2 = host.clone();
-    let m1 = workloads::involved_flows(8, 512, link);
-    let m2 = workloads::involved_flows(8, 512, link);
-    let pair = run_jobs(vec![
-        Box::new(move || run_ceio_with(|c| c, m1, h1, AppKind::Kv, sp, "phase exclusivity ON"))
-            as Box<dyn FnOnce() -> RunReport + Send>,
-        Box::new(move || {
-            run_ceio_with(
-                |c| CeioConfig {
-                    phase_exclusivity: false,
-                    ..c
-                },
-                m2,
-                h2,
-                AppKind::Kv,
-                sp,
-                "phase exclusivity OFF",
-            )
-        }),
-    ]);
+    let variants = [
+        (true, "phase exclusivity ON"),
+        (false, "phase exclusivity OFF"),
+    ];
+    let pair = run_jobs(jobs, &variants, |&(phase_exclusivity, label)| {
+        run_ceio_with(
+            |c| CeioConfig {
+                phase_exclusivity,
+                ..c
+            },
+            workloads::involved_flows(8, 512, link),
+            host.clone(),
+            AppKind::Kv,
+            sp,
+            label,
+        )
+    });
     let mut t = Table::new(
         "Ablation B — phase exclusivity (8 saturating KV flows)",
         &["variant", "involved Mpps", "ordering stalls", "p999(us)"],
@@ -149,34 +129,26 @@ pub fn run(quick: bool) -> String {
         (eq1 * 2, "2x"),
         (eq1 * 4, "4x"),
     ];
-    let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = factors
-        .iter()
-        .map(|&(credits, label)| {
-            // 2048 B packets fill their whole buffer, making Eq. 1 tight,
-            // and two shared cores keep the CPU overloaded so outstanding
-            // data actually reaches whatever bound the credits allow.
-            let host = ceio_host::HostConfig {
-                num_cores: Some(2),
-                ..host.clone()
-            };
-            let scen = workloads::involved_flows(8, 2048, link);
-            let label = label.to_string();
-            Box::new(move || {
-                run_ceio_with(
-                    |c| CeioConfig {
-                        credit_total: credits,
-                        ..c
-                    },
-                    scen,
-                    host,
-                    AppKind::Kv,
-                    sp,
-                    &label,
-                )
-            }) as Box<dyn FnOnce() -> RunReport + Send>
-        })
-        .collect();
-    let sized = run_jobs(jobs);
+    let sized = run_jobs(jobs, &factors, |&(credits, label)| {
+        // 2048 B packets fill their whole buffer, making Eq. 1 tight, and
+        // two shared cores keep the CPU overloaded so outstanding data
+        // actually reaches whatever bound the credits allow.
+        let host = ceio_host::HostConfig {
+            num_cores: Some(2),
+            ..host.clone()
+        };
+        run_ceio_with(
+            |c| CeioConfig {
+                credit_total: credits,
+                ..c
+            },
+            workloads::involved_flows(8, 2048, link),
+            host,
+            AppKind::Kv,
+            sp,
+            label,
+        )
+    });
     let mut t = Table::new(
         "Ablation C — credit total vs Eq. 1 (8 KV flows, 2048B)",
         &["credits", "Mpps", "miss%", "slow-path pkts"],
@@ -195,29 +167,32 @@ pub fn run(quick: bool) -> String {
     // (d) MPQ vs lazy credit release (§4.1): continuous RPC flows are
     // long-lived — PIAS-style byte-count decay demotes them alongside the
     // DFS tenant, while CEIO's lazy release never does.
-    let h1 = host.clone();
-    let h2 = host.clone();
-    let m1 = workloads::mixed_flows(4, 4, 512, link);
-    let m2 = workloads::mixed_flows(4, 4, 512, link);
-    let pair = run_jobs(vec![
-        Box::new(move || run_ceio_with(|c| c, m1, h1, AppKind::Mixed, sp, "CEIO (lazy release)"))
-            as Box<dyn FnOnce() -> RunReport + Send>,
-        Box::new(move || {
-            let mpq = MpqConfig {
-                credit_total: h2.credit_total(),
-                ..MpqConfig::default()
-            };
-            let mut sim = Machine::build(
-                h2,
-                MpqPolicy::new(mpq),
-                m2,
-                workloads::app_factory(AppKind::Mixed),
+    let mixed = || workloads::mixed_flows(4, 4, 512, link);
+    let pair = run_jobs(jobs, &[false, true], |&mpq| {
+        if !mpq {
+            return run_ceio_with(
+                |c| c,
+                mixed(),
+                host.clone(),
+                AppKind::Mixed,
+                sp,
+                "CEIO (lazy release)",
             );
-            let mut r = run_to_report(&mut sim, sp.warmup, sp.measure);
-            r.policy = "MPQ (PIAS-style)".to_string();
-            r
-        }),
-    ]);
+        }
+        let cfg = MpqConfig {
+            credit_total: host.credit_total(),
+            ..MpqConfig::default()
+        };
+        let mut sim = Machine::build(
+            host.clone(),
+            MpqPolicy::new(cfg),
+            mixed(),
+            workloads::app_factory(AppKind::Mixed),
+        );
+        let mut r = run_to_report(&mut sim, sp.warmup, sp.measure);
+        r.policy = "MPQ (PIAS-style)".to_string();
+        r
+    });
     let mut t = Table::new(
         "Ablation D — lazy credit release vs Multiple Priority Queues (4:4 mixed)",
         &[
@@ -240,29 +215,31 @@ pub fn run(quick: bool) -> String {
 
     // (e) Inference vs oracle: how much of the ideal (ground-truth
     // class-based steering) does CEIO's behavioural inference recover?
-    let h1 = host.clone();
-    let h2 = host.clone();
-    let m1 = workloads::mixed_flows(4, 4, 512, link);
-    let m2 = workloads::mixed_flows(4, 4, 512, link);
-    let pair = run_jobs(vec![
-        Box::new(move || run_ceio_with(|c| c, m1, h1, AppKind::Mixed, sp, "CEIO (inferred)"))
-            as Box<dyn FnOnce() -> RunReport + Send>,
-        Box::new(move || {
-            let cfg = CeioConfig {
-                credit_total: h2.credit_total(),
-                ..CeioConfig::default()
-            };
-            let mut sim = Machine::build(
-                h2,
-                OraclePolicy::new(cfg),
-                m2,
-                workloads::app_factory(AppKind::Mixed),
+    let pair = run_jobs(jobs, &[false, true], |&oracle| {
+        if !oracle {
+            return run_ceio_with(
+                |c| c,
+                mixed(),
+                host.clone(),
+                AppKind::Mixed,
+                sp,
+                "CEIO (inferred)",
             );
-            let mut r = run_to_report(&mut sim, sp.warmup, sp.measure);
-            r.policy = "Oracle (ground truth)".to_string();
-            r
-        }),
-    ]);
+        }
+        let cfg = CeioConfig {
+            credit_total: host.credit_total(),
+            ..CeioConfig::default()
+        };
+        let mut sim = Machine::build(
+            host.clone(),
+            OraclePolicy::new(cfg),
+            mixed(),
+            workloads::app_factory(AppKind::Mixed),
+        );
+        let mut r = run_to_report(&mut sim, sp.warmup, sp.measure);
+        r.policy = "Oracle (ground truth)".to_string();
+        r
+    });
     let mut t = Table::new(
         "Ablation E — behavioural inference vs ground-truth oracle (4:4 mixed)",
         &["variant", "involved Mpps", "bypass Gbps", "miss%"],
@@ -276,8 +253,5 @@ pub fn run(quick: bool) -> String {
         ]);
     }
     out.push_str(&t.render());
-
-    // Tie back to the competitor set so the ablation report stands alone.
-    let _ = PolicyKind::Ceio;
     out
 }

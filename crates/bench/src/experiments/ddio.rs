@@ -44,8 +44,8 @@ pub fn way_host(w: u32) -> HostConfig {
     host
 }
 
-/// Run one policy across the way sweep; returns `(ways, report)` pairs
-/// in sweep order.
+/// Run one policy across the way sweep, `jobs` runs at a time; returns
+/// `(ways, report)` pairs in sweep order.
 ///
 /// `cold` starts the measurement at t = 0 with no warmup: under
 /// sustained overload the unmanaged baseline's FIFO consume order chases
@@ -53,36 +53,36 @@ pub fn way_host(w: u32) -> HostConfig {
 /// near 1.0 for every partition width — the width-dependent signal is
 /// how many buffers the partition absorbs before thrashing begins, which
 /// only a cold start exposes. Warmed-up runs show the steady state.
-pub fn sweep_reports(quick: bool, kind: PolicyKind, cold: bool) -> Vec<(u32, RunReport)> {
+pub fn sweep_reports(
+    quick: bool,
+    kind: PolicyKind,
+    cold: bool,
+    jobs: usize,
+) -> Vec<(u32, RunReport)> {
     let spans = workloads::spans(quick);
     let warmup = if cold {
         Duration::nanos(0)
     } else {
         spans.warmup
     };
-    let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = WAY_SWEEP
-        .iter()
-        .map(|&w| {
-            let host = way_host(w);
-            let link = host.net.link_bandwidth;
-            Box::new(move || {
-                run_one(
-                    host,
-                    kind,
-                    workloads::involved_flows(8, 512, link.scale(7, 10)),
-                    workloads::app_factory(AppKind::Kv),
-                    warmup,
-                    spans.measure,
-                )
-            }) as Box<dyn FnOnce() -> RunReport + Send>
-        })
-        .collect();
-    WAY_SWEEP.iter().copied().zip(run_jobs(jobs)).collect()
+    let reports = run_jobs(jobs, &WAY_SWEEP, |&w| {
+        let host = way_host(w);
+        let link = host.net.link_bandwidth;
+        run_one(
+            host,
+            kind,
+            workloads::involved_flows(8, 512, link.scale(7, 10)),
+            workloads::app_factory(AppKind::Kv),
+            warmup,
+            spans.measure,
+        )
+    });
+    WAY_SWEEP.into_iter().zip(reports).collect()
 }
 
 /// Run the DDIO-ways sweep, write `BENCH_ddio.json`, and return the
 /// formatted report.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool, jobs: usize) -> String {
     let mut t = Table::new(
         "DDIO ways — 8 KV flows at 70% line rate on the set-associative LLC (miss rate and goodput by partition width)",
         &[
@@ -97,7 +97,7 @@ pub fn run(quick: bool) -> String {
     );
     let mut rows = String::new();
     for kind in [PolicyKind::Baseline, PolicyKind::HostCc, PolicyKind::Ceio] {
-        for (w, r) in sweep_reports(quick, kind, false) {
+        for (w, r) in sweep_reports(quick, kind, false, jobs) {
             let p99 = r.involved_latency.quantiles(&[0.99])[0];
             t.row(vec![
                 r.policy.clone(),
@@ -130,7 +130,7 @@ pub fn run(quick: bool) -> String {
         &["policy", "ways", "miss rate", "involved Mpps"],
     );
     let mut cold_rows = String::new();
-    for (w, r) in sweep_reports(quick, PolicyKind::Baseline, true) {
+    for (w, r) in sweep_reports(quick, PolicyKind::Baseline, true, jobs) {
         cold.row(vec![
             r.policy.clone(),
             w.to_string(),
@@ -171,7 +171,7 @@ mod tests {
     /// start, where the partition's absorption capacity is visible.
     #[test]
     fn baseline_miss_rate_degrades_as_ways_shrink() {
-        let by_ways: Vec<(u32, f64)> = sweep_reports(true, PolicyKind::Baseline, true)
+        let by_ways: Vec<(u32, f64)> = sweep_reports(true, PolicyKind::Baseline, true, 2)
             .iter()
             .map(|(w, r)| (*w, r.llc_miss_rate))
             .collect();
@@ -189,7 +189,7 @@ mod tests {
     /// goodput stays within 5% of its best across the whole sweep.
     #[test]
     fn ceio_goodput_is_flat_across_the_sweep() {
-        let gbps: Vec<f64> = sweep_reports(true, PolicyKind::Ceio, false)
+        let gbps: Vec<f64> = sweep_reports(true, PolicyKind::Ceio, false, 2)
             .iter()
             .map(|(_, r)| r.fast_path_gbps)
             .collect();

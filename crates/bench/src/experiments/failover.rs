@@ -13,7 +13,7 @@
 //! counters proving the flap was survived rather than merely suffered.
 
 use crate::experiments::queues::sharded_host;
-use crate::runner::{run_one_scoped, AnyPolicy, PolicyKind};
+use crate::runner::{run_jobs, run_one_with_plan, AnyPolicy, PolicyKind};
 use crate::table::{self, Table};
 use crate::workloads::{self, AppKind};
 use ceio_chaos::FaultPlan;
@@ -35,7 +35,7 @@ pub fn flap_run(
     let spans = workloads::spans(quick);
     let host = sharded_host(QUEUES);
     let link = host.net.link_bandwidth;
-    run_one_scoped(
+    run_one_with_plan(
         host,
         PolicyKind::Ceio,
         workloads::involved_flows(16, 512, link),
@@ -43,12 +43,11 @@ pub fn flap_run(
         spans.warmup,
         spans.measure,
         plan,
-        None,
     )
 }
 
 /// Run the fault-free / queue-flap comparison and render the report.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool, jobs: usize) -> String {
     let mut t = Table::new(
         "Queue failover — 4-queue CEIO across the canned `queue-flap` plan",
         &[
@@ -65,7 +64,8 @@ pub fn run(quick: bool) -> String {
     );
     let plan =
         FaultPlan::parse("queue-flap", SEED).expect("invariant: the canned queue-flap plan parses");
-    for (label, plan) in [("fault-free", None), ("queue-flap", Some(plan))] {
+    let runs = [("fault-free", None), ("queue-flap", Some(plan))];
+    let rows = run_jobs(jobs, &runs, |(label, plan)| {
         let (r, sim) = flap_run(quick, plan.as_ref());
         let st = &sim.model.st;
         let healthy = st
@@ -73,7 +73,7 @@ pub fn run(quick: bool) -> String {
             .iter()
             .filter(|q| q.state() == QueueState::Healthy)
             .count();
-        t.row(vec![
+        vec![
             label.to_string(),
             table::f(r.fast_path_gbps, 2),
             table::f(r.slow_path_gbps, 2),
@@ -83,7 +83,10 @@ pub fn run(quick: bool) -> String {
             st.failover.flows_resteered.to_string(),
             st.failover.false_alarms.to_string(),
             format!("{healthy}/{QUEUES}"),
-        ]);
+        ]
+    });
+    for row in rows {
+        t.row(row);
     }
     t.render()
 }

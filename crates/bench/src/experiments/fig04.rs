@@ -48,37 +48,36 @@ fn involved_counts(burst: bool, phases: u32) -> Vec<u32> {
         .collect()
 }
 
-fn run_scenario(
+/// Run `policies` through the dynamic-distribution (or, with `burst`, the
+/// network-burst) scenario on `host`, `jobs` runs at a time; returns the
+/// reports in policy order, the involved-flow count per phase, and the
+/// phase length.
+pub(crate) fn run_scenario(
     quick: bool,
     burst: bool,
+    host: &HostConfig,
     policies: &[PolicyKind],
+    jobs: usize,
 ) -> (Vec<RunReport>, Vec<u32>, Duration) {
     let ph = phase(quick);
     let phases = 3;
-    let host = workloads::contended_host(Transport::Dpdk);
     let link = host.net.link_bandwidth;
-    let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = policies
-        .iter()
-        .map(|&kind| {
-            let host = host.clone();
-            let scenario = if burst {
-                workloads::network_burst(ph, phases, link)
-            } else {
-                workloads::dynamic_distribution(ph, phases, link)
-            };
-            Box::new(move || {
-                run_one(
-                    host,
-                    kind,
-                    scenario,
-                    workloads::app_factory(AppKind::Mixed),
-                    Duration::millis(1),
-                    ph.saturating_mul(phases as u64 + 1),
-                )
-            }) as Box<dyn FnOnce() -> RunReport + Send>
-        })
-        .collect();
-    (run_jobs(jobs), involved_counts(burst, phases), ph)
+    let reports = run_jobs(jobs, policies, |&kind| {
+        let scenario = if burst {
+            workloads::network_burst(ph, phases, link)
+        } else {
+            workloads::dynamic_distribution(ph, phases, link)
+        };
+        run_one(
+            host.clone(),
+            kind,
+            scenario,
+            workloads::app_factory(AppKind::Mixed),
+            Duration::millis(1),
+            ph.saturating_mul(phases as u64 + 1),
+        )
+    });
+    (reports, involved_counts(burst, phases), ph)
 }
 
 /// Per-phase mean of the involved-Mpps time series.
@@ -153,13 +152,13 @@ fn report_one(
 }
 
 /// Run Figure 4 and return the formatted report.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool, jobs: usize) -> String {
     let per_core = sufficient_llc_per_core_mpps(quick);
     let host = workloads::contended_host(Transport::Dpdk);
     let policies = [PolicyKind::Baseline, PolicyKind::HostCc, PolicyKind::ShRing];
 
-    let (dyn_reports, dyn_counts, ph) = run_scenario(quick, false, &policies);
-    let (burst_reports, burst_counts, _) = run_scenario(quick, true, &policies);
+    let (dyn_reports, dyn_counts, ph) = run_scenario(quick, false, &host, &policies, jobs);
+    let (burst_reports, burst_counts, _) = run_scenario(quick, true, &host, &policies, jobs);
 
     let mut out = String::new();
     out.push_str(&format!(

@@ -11,7 +11,6 @@
 use crate::runner::{run_jobs, run_one, PolicyKind};
 use crate::table::{self, Table};
 use crate::workloads::{self, AppKind, Transport};
-use ceio_host::RunReport;
 use ceio_net::FlowClass;
 
 const SIZES: [u64; 4] = [128, 256, 512, 1024];
@@ -45,37 +44,36 @@ const DATAPATHS: [Datapath; 3] = [
 ];
 
 /// Run Figure 9 and return the formatted report.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool, jobs: usize) -> String {
     let spans = workloads::spans(quick);
     let sizes: &[u64] = if quick { &SIZES[2..3] } else { &SIZES };
 
-    let mut jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = Vec::new();
-    for dp in &DATAPATHS {
-        for &size in sizes {
-            for kind in PolicyKind::COMPETITORS {
-                let host = workloads::contended_host(dp.transport);
-                let link = host.net.link_bandwidth;
-                let scenario = match dp.class {
-                    FlowClass::CpuInvolved => workloads::involved_flows(8, size, link),
-                    // LineFS streams a 16 GB file in 1 MB chunks (§6.1),
-                    // segmented at the swept packet size.
-                    FlowClass::CpuBypass => workloads::bypass_flows(8, size, 1 << 20, link),
-                };
-                let app = dp.app;
-                jobs.push(Box::new(move || {
-                    run_one(
-                        host,
-                        kind,
-                        scenario,
-                        workloads::app_factory(app),
-                        spans.warmup,
-                        spans.measure,
-                    )
-                }));
-            }
-        }
-    }
-    let reports = run_jobs(jobs);
+    let points: Vec<(&Datapath, u64, PolicyKind)> = DATAPATHS
+        .iter()
+        .flat_map(|dp| {
+            sizes
+                .iter()
+                .flat_map(move |&size| PolicyKind::COMPETITORS.map(|kind| (dp, size, kind)))
+        })
+        .collect();
+    let reports = run_jobs(jobs, &points, |&(dp, size, kind)| {
+        let host = workloads::contended_host(dp.transport);
+        let link = host.net.link_bandwidth;
+        let scenario = match dp.class {
+            FlowClass::CpuInvolved => workloads::involved_flows(8, size, link),
+            // LineFS streams a 16 GB file in 1 MB chunks (§6.1),
+            // segmented at the swept packet size.
+            FlowClass::CpuBypass => workloads::bypass_flows(8, size, 1 << 20, link),
+        };
+        run_one(
+            host,
+            kind,
+            scenario,
+            workloads::app_factory(dp.app),
+            spans.warmup,
+            spans.measure,
+        )
+    });
 
     let mut t = Table::new(
         "Figure 9 — static throughput and LLC miss rate vs packet size",

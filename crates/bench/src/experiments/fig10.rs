@@ -7,46 +7,19 @@
 //! performance closely throughout.
 
 use crate::experiments::fig04;
-use crate::runner::{run_jobs, run_one, PolicyKind};
+use crate::runner::PolicyKind;
 use crate::table::{self, Table};
-use crate::workloads::{self, AppKind, Transport};
+use crate::workloads::{self, Transport};
 use ceio_host::RunReport;
 use ceio_sim::Duration;
 
-fn run_scenario(quick: bool, burst: bool) -> (Vec<RunReport>, Vec<u32>, Duration) {
-    let ph = fig04::phase(quick);
-    let phases = 3;
+fn run_scenario(quick: bool, burst: bool, jobs: usize) -> (Vec<RunReport>, Vec<u32>, Duration) {
     let mut host = workloads::contended_host(Transport::Dpdk);
     // Fine-grained sampling so the transition windows right after each
     // phase change — where slow response and fixed buffering bite — are
     // visible, not averaged away.
     host.sample_window = ceio_sim::Duration::micros(100);
-    let link = host.net.link_bandwidth;
-    let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = PolicyKind::COMPETITORS
-        .iter()
-        .map(|&kind| {
-            let host = host.clone();
-            let scenario = if burst {
-                workloads::network_burst(ph, phases, link)
-            } else {
-                workloads::dynamic_distribution(ph, phases, link)
-            };
-            Box::new(move || {
-                run_one(
-                    host,
-                    kind,
-                    scenario,
-                    workloads::app_factory(AppKind::Mixed),
-                    Duration::millis(1),
-                    ph.saturating_mul(phases as u64 + 1),
-                )
-            }) as Box<dyn FnOnce() -> RunReport + Send>
-        })
-        .collect();
-    let counts: Vec<u32> = (0..=phases)
-        .map(|p| if burst { 8 + 2 * p } else { 8 - 2 * p })
-        .collect();
-    (run_jobs(jobs), counts, ph)
+    fig04::run_scenario(quick, burst, &host, &PolicyKind::COMPETITORS, jobs)
 }
 
 /// Mean of the involved-Mpps series over the first `window_ms` after each
@@ -104,9 +77,9 @@ fn report_one(title: &str, reports: &[RunReport], counts: &[u32], ph: Duration) 
 }
 
 /// Run Figure 10 and return the formatted report.
-pub fn run(quick: bool) -> String {
-    let (dyn_reports, dyn_counts, ph) = run_scenario(quick, false);
-    let (burst_reports, burst_counts, _) = run_scenario(quick, true);
+pub fn run(quick: bool, jobs: usize) -> String {
+    let (dyn_reports, dyn_counts, ph) = run_scenario(quick, false, jobs);
+    let (burst_reports, burst_counts, _) = run_scenario(quick, true, jobs);
     let mut out = String::new();
     out.push_str(&report_one(
         "Figure 10a — dynamic flow distribution with CEIO (CPU-involved Mpps)",

@@ -9,7 +9,7 @@ use crate::runner::{run_jobs, run_one, PolicyKind};
 use crate::table::{self, Table};
 use crate::workloads::{self, AppKind};
 use ceio_apps::write_bw_flow;
-use ceio_host::{HostConfig, RunReport};
+use ceio_host::HostConfig;
 use ceio_net::Scenario;
 use ceio_sim::Time;
 
@@ -25,7 +25,7 @@ fn scenario(msg_bytes: u64, host: &HostConfig) -> Scenario {
 }
 
 /// Run Figure 11 and return the formatted report.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool, jobs: usize) -> String {
     let spans = workloads::spans(quick);
     let sizes: &[u64] = if quick { &SIZES[..4] } else { &SIZES };
     let variants = [
@@ -34,24 +34,22 @@ pub fn run(quick: bool) -> String {
         ("CEIO slow path", PolicyKind::CeioSlowOnly),
     ];
 
-    let mut jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = Vec::new();
-    for &size in sizes {
-        for &(_, kind) in &variants {
-            let host = HostConfig::default();
-            let scen = scenario(size, &host);
-            jobs.push(Box::new(move || {
-                run_one(
-                    host,
-                    kind,
-                    scen,
-                    workloads::app_factory(AppKind::Sink),
-                    spans.warmup,
-                    spans.measure,
-                )
-            }));
-        }
-    }
-    let reports = run_jobs(jobs);
+    let points: Vec<(u64, PolicyKind)> = sizes
+        .iter()
+        .flat_map(|&size| variants.map(|(_, kind)| (size, kind)))
+        .collect();
+    let reports = run_jobs(jobs, &points, |&(size, kind)| {
+        let host = HostConfig::default();
+        let scen = scenario(size, &host);
+        run_one(
+            host,
+            kind,
+            scen,
+            workloads::app_factory(AppKind::Sink),
+            spans.warmup,
+            spans.measure,
+        )
+    });
 
     let mut t = Table::new(
         "Figure 11 — single-flow throughput vs message size (Gbps)",

@@ -18,7 +18,7 @@
 use crate::runner::{run_jobs, run_one, PolicyKind};
 use crate::table::{self, Table};
 use crate::workloads::{self, AppKind};
-use ceio_host::{HostConfig, RunReport};
+use ceio_host::HostConfig;
 use ceio_net::{FlowClass, FlowSpec, Scenario};
 use ceio_sim::{Bandwidth, Duration, Rng, Time};
 
@@ -76,7 +76,7 @@ fn hopping_scenario(
 }
 
 /// Run Figure 12 and return the formatted report.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool, jobs: usize) -> String {
     let flow_counts: &[u32] = if quick {
         &[16, 512, 2048]
     } else {
@@ -95,30 +95,28 @@ pub fn run(quick: bool) -> String {
     };
     let horizon = warmup + measure;
 
-    let mut jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = Vec::new();
-    for &(_, slot) in &slots {
-        for &n in flow_counts {
-            let host = HostConfig {
-                // 16 polling cores serve all UD queue pairs (eRPC-style
-                // shared polling), matching the 16 concurrent senders.
-                num_cores: Some(ACTIVE),
-                ..HostConfig::default()
-            };
-            let link = host.net.link_bandwidth;
-            let scen = hopping_scenario(n, slot, horizon, link, 0xF1612 + n as u64);
-            jobs.push(Box::new(move || {
-                run_one(
-                    host,
-                    PolicyKind::Ceio,
-                    scen,
-                    workloads::app_factory(AppKind::Echo),
-                    warmup,
-                    measure,
-                )
-            }));
-        }
-    }
-    let reports = run_jobs(jobs);
+    let points: Vec<(Duration, u32)> = slots
+        .iter()
+        .flat_map(|&(_, slot)| flow_counts.iter().map(move |&n| (slot, n)))
+        .collect();
+    let reports = run_jobs(jobs, &points, |&(slot, n)| {
+        let host = HostConfig {
+            // 16 polling cores serve all UD queue pairs (eRPC-style
+            // shared polling), matching the 16 concurrent senders.
+            num_cores: Some(ACTIVE),
+            ..HostConfig::default()
+        };
+        let link = host.net.link_bandwidth;
+        let scen = hopping_scenario(n, slot, horizon, link, 0xF1612 + n as u64);
+        run_one(
+            host,
+            PolicyKind::Ceio,
+            scen,
+            workloads::app_factory(AppKind::Echo),
+            warmup,
+            measure,
+        )
+    });
 
     let mut headers: Vec<String> = vec!["flows".into()];
     for (label, _) in &slots {

@@ -10,54 +10,44 @@
 use crate::runner::{run_jobs, run_one, PolicyKind};
 use crate::table::{self, Table};
 use crate::workloads::{self, AppKind};
-use ceio_host::{HostConfig, RunReport};
+use ceio_host::HostConfig;
 
 /// Run the limited-benefit scenarios and return the formatted report.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool, jobs: usize) -> String {
     let spans = workloads::spans(quick);
-
-    // (1) 64 B VxLAN decap, small footprint: 2k buffers/flow = 1 MB total.
-    let mut jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = Vec::new();
-    for kind in PolicyKind::COMPETITORS {
-        let host = HostConfig {
-            ring_entries: 2048,
-            ..HostConfig::default()
+    let points: Vec<(bool, PolicyKind)> = [false, true]
+        .into_iter()
+        .flat_map(|jumbo| PolicyKind::COMPETITORS.map(|kind| (jumbo, kind)))
+        .collect();
+    let reports = run_jobs(jobs, &points, |&(jumbo, kind)| {
+        let (host, bytes, app) = if jumbo {
+            // (2) 9000 B jumbo echo at line rate.
+            let mut host = HostConfig {
+                ring_entries: 16384,
+                buf_bytes: 9216,
+                ..HostConfig::default()
+            };
+            host.net.mtu = 9000;
+            (host, 9000, AppKind::Echo)
+        } else {
+            // (1) 64 B VxLAN decap, small footprint: 2k buffers/flow = 1 MB
+            // total.
+            let host = HostConfig {
+                ring_entries: 2048,
+                ..HostConfig::default()
+            };
+            (host, 64, AppKind::Vxlan)
         };
         let link = host.net.link_bandwidth;
-        let scen = workloads::involved_flows(8, 64, link);
-        jobs.push(Box::new(move || {
-            run_one(
-                host,
-                kind,
-                scen,
-                workloads::app_factory(AppKind::Vxlan),
-                spans.warmup,
-                spans.measure,
-            )
-        }));
-    }
-    // (2) 9000 B jumbo echo at line rate.
-    for kind in PolicyKind::COMPETITORS {
-        let mut host = HostConfig {
-            ring_entries: 16384,
-            buf_bytes: 9216,
-            ..HostConfig::default()
-        };
-        host.net.mtu = 9000;
-        let link = host.net.link_bandwidth;
-        let scen = workloads::involved_flows(8, 9000, link);
-        jobs.push(Box::new(move || {
-            run_one(
-                host,
-                kind,
-                scen,
-                workloads::app_factory(AppKind::Echo),
-                spans.warmup,
-                spans.measure,
-            )
-        }));
-    }
-    let reports = run_jobs(jobs);
+        run_one(
+            host,
+            kind,
+            workloads::involved_flows(8, bytes, link),
+            workloads::app_factory(app),
+            spans.warmup,
+            spans.measure,
+        )
+    });
 
     let mut t = Table::new(
         "S6.3 limited-benefit scenarios — all methods converge",

@@ -15,8 +15,9 @@ pub mod table2;
 pub mod table3;
 pub mod table4;
 
-/// An experiment entry point: `run(quick) -> formatted report`.
-pub type ExperimentFn = fn(bool) -> String;
+/// An experiment entry point: `run(quick, jobs) -> formatted report`,
+/// running its independent simulations on at most `jobs` threads.
+pub type ExperimentFn = fn(bool, usize) -> String;
 
 /// All experiments by name, in paper order.
 pub fn all() -> Vec<(&'static str, ExperimentFn)> {

@@ -34,32 +34,27 @@ pub fn sharded_host(n: usize) -> HostConfig {
     host
 }
 
-/// Run one policy across the queue sweep; returns `(N, report)` pairs in
-/// sweep order.
-pub fn scaling_reports(quick: bool, kind: PolicyKind) -> Vec<(usize, RunReport)> {
+/// Run one policy across the queue sweep, `jobs` runs at a time; returns
+/// `(N, report)` pairs in sweep order.
+pub fn scaling_reports(quick: bool, kind: PolicyKind, jobs: usize) -> Vec<(usize, RunReport)> {
     let spans = workloads::spans(quick);
-    let jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = QUEUE_COUNTS
-        .iter()
-        .map(|&n| {
-            let host = sharded_host(n);
-            let link = host.net.link_bandwidth;
-            Box::new(move || {
-                run_one(
-                    host,
-                    kind,
-                    workloads::involved_flows(16, 512, link),
-                    workloads::app_factory(AppKind::Kv),
-                    spans.warmup,
-                    spans.measure,
-                )
-            }) as Box<dyn FnOnce() -> RunReport + Send>
-        })
-        .collect();
-    QUEUE_COUNTS.iter().copied().zip(run_jobs(jobs)).collect()
+    let reports = run_jobs(jobs, &QUEUE_COUNTS, |&n| {
+        let host = sharded_host(n);
+        let link = host.net.link_bandwidth;
+        run_one(
+            host,
+            kind,
+            workloads::involved_flows(16, 512, link),
+            workloads::app_factory(AppKind::Kv),
+            spans.warmup,
+            spans.measure,
+        )
+    });
+    QUEUE_COUNTS.into_iter().zip(reports).collect()
 }
 
 /// Run the queue-scaling sweep and return the formatted report.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool, jobs: usize) -> String {
     let mut t = Table::new(
         "Queue scaling — 16 KV flows, 150 ns issue gap (aggregate throughput by RSS queue count)",
         &[
@@ -73,7 +68,7 @@ pub fn run(quick: bool) -> String {
         ],
     );
     for kind in [PolicyKind::Baseline, PolicyKind::Ceio] {
-        for (n, r) in scaling_reports(quick, kind) {
+        for (n, r) in scaling_reports(quick, kind, jobs) {
             let p99 = r.involved_latency.quantiles(&[0.99])[0];
             t.row(vec![
                 r.policy.clone(),
@@ -99,7 +94,7 @@ mod tests {
     /// rises monotonically from 1 to 4 queues.
     #[test]
     fn ceio_fast_path_scales_monotonically_to_four_queues() {
-        let reports = scaling_reports(true, PolicyKind::Ceio);
+        let reports = scaling_reports(true, PolicyKind::Ceio, 2);
         let by_n: Vec<(usize, f64)> = reports
             .iter()
             .filter(|(n, _)| *n <= 4)

@@ -18,11 +18,27 @@
 use crate::runner::{run_jobs, run_one, PolicyKind};
 use crate::table::{self, Table};
 use crate::workloads::{self, AppKind, Transport};
-use ceio_host::RunReport;
+use ceio_host::{HostConfig, RunReport};
 use ceio_sim::{Bandwidth, Duration};
 
+/// The baseline and then CEIO on `host` under 8 saturating KV flows.
+fn base_and_ceio(host: HostConfig, spans: workloads::Spans) -> (RunReport, RunReport) {
+    let link = host.net.link_bandwidth;
+    let run = |kind| {
+        run_one(
+            host.clone(),
+            kind,
+            workloads::involved_flows(8, 512, link),
+            workloads::app_factory(AppKind::Kv),
+            spans.warmup,
+            spans.measure,
+        )
+    };
+    (run(PolicyKind::Baseline), run(PolicyKind::Ceio))
+}
+
 /// Run the sensitivity sweeps and return the formatted report.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool, jobs: usize) -> String {
     let spans = workloads::spans(quick);
     let mut out = String::new();
 
@@ -34,34 +50,11 @@ pub fn run(quick: bool) -> String {
         (12 << 20, "12 MB"),
         (48 << 20, "48 MB"),
     ];
-    let mut jobs: Vec<Box<dyn FnOnce() -> (RunReport, RunReport) + Send>> = Vec::new();
-    for &(bytes, _) in ddio_sizes {
-        jobs.push(Box::new(move || {
-            let mut host = workloads::contended_host(Transport::Dpdk);
-            host.mem.ddio_bytes = bytes;
-            let link = host.net.link_bandwidth;
-            let scen = workloads::involved_flows(8, 512, link);
-            let scen2 = workloads::involved_flows(8, 512, link);
-            let base = run_one(
-                host.clone(),
-                PolicyKind::Baseline,
-                scen,
-                workloads::app_factory(AppKind::Kv),
-                spans.warmup,
-                spans.measure,
-            );
-            let ceio = run_one(
-                host,
-                PolicyKind::Ceio,
-                scen2,
-                workloads::app_factory(AppKind::Kv),
-                spans.warmup,
-                spans.measure,
-            );
-            (base, ceio)
-        }));
-    }
-    let pairs = run_jobs(jobs);
+    let pairs = run_jobs(jobs, ddio_sizes, |&(bytes, _)| {
+        let mut host = workloads::contended_host(Transport::Dpdk);
+        host.mem.ddio_bytes = bytes;
+        base_and_ceio(host, spans)
+    });
     let mut t = Table::new(
         "Sensitivity 1 — DDIO partition size (8 KV flows, 512B)",
         &[
@@ -93,34 +86,11 @@ pub fn run(quick: bool) -> String {
         (64, "64 GB/s (default)"),
         (128, "128 GB/s"),
     ];
-    let mut jobs: Vec<Box<dyn FnOnce() -> (RunReport, RunReport) + Send>> = Vec::new();
-    for &(g, _) in dram_bw {
-        jobs.push(Box::new(move || {
-            let mut host = workloads::contended_host(Transport::Dpdk);
-            host.mem.dram_bandwidth = Bandwidth::gibps(g);
-            let link = host.net.link_bandwidth;
-            let scen = workloads::involved_flows(8, 512, link);
-            let scen2 = workloads::involved_flows(8, 512, link);
-            let base = run_one(
-                host.clone(),
-                PolicyKind::Baseline,
-                scen,
-                workloads::app_factory(AppKind::Kv),
-                spans.warmup,
-                spans.measure,
-            );
-            let ceio = run_one(
-                host,
-                PolicyKind::Ceio,
-                scen2,
-                workloads::app_factory(AppKind::Kv),
-                spans.warmup,
-                spans.measure,
-            );
-            (base, ceio)
-        }));
-    }
-    let pairs = run_jobs(jobs);
+    let pairs = run_jobs(jobs, dram_bw, |&(g, _)| {
+        let mut host = workloads::contended_host(Transport::Dpdk);
+        host.mem.dram_bandwidth = Bandwidth::gibps(g);
+        base_and_ceio(host, spans)
+    });
     let mut t = Table::new(
         "Sensitivity 2 — DRAM effective bandwidth (8 KV flows, 512B)",
         &["DRAM", "base Mpps", "CEIO Mpps", "speedup"],
@@ -145,26 +115,21 @@ pub fn run(quick: bool) -> String {
         ("DPA + onboard SRAM", 100, 40, 10),
         ("CXL CPU-attached SRAM", 150, 20, 10),
     ];
-    let mut jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = Vec::new();
-    for &(_, gbps, lat_ns, arm_ns) in variants {
-        jobs.push(Box::new(move || {
-            let mut host = ceio_host::HostConfig::default();
-            host.nic.onboard_bandwidth = Bandwidth::gibps(gbps);
-            host.nic.onboard_base_latency = Duration::nanos(lat_ns);
-            host.nic.arm_table_update = Duration::nanos(arm_ns);
-            let link = host.net.link_bandwidth;
-            let scen = workloads::involved_flows(1, 512, link);
-            run_one(
-                host,
-                PolicyKind::CeioSlowOnly,
-                scen,
-                workloads::app_factory(AppKind::Sink),
-                spans.warmup,
-                spans.measure,
-            )
-        }));
-    }
-    let runs = run_jobs(jobs);
+    let runs = run_jobs(jobs, variants, |&(_, gbps, lat_ns, arm_ns)| {
+        let mut host = HostConfig::default();
+        host.nic.onboard_bandwidth = Bandwidth::gibps(gbps);
+        host.nic.onboard_base_latency = Duration::nanos(lat_ns);
+        host.nic.arm_table_update = Duration::nanos(arm_ns);
+        let link = host.net.link_bandwidth;
+        run_one(
+            host,
+            PolicyKind::CeioSlowOnly,
+            workloads::involved_flows(1, 512, link),
+            workloads::app_factory(AppKind::Sink),
+            spans.warmup,
+            spans.measure,
+        )
+    });
     let mut t = Table::new(
         "Sensitivity 3 — slow path on future NIC hardware (single 512B flow, credits=0)",
         &["hardware", "slow-path Gbps", "p999(us)"],

@@ -46,32 +46,29 @@ const DATAPATHS: [Datapath; 3] = [
 ];
 
 /// Run Table 2 and return the formatted report.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool, jobs: usize) -> String {
     let spans = workloads::spans(quick);
-    let mut jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = Vec::new();
-    for dp in &DATAPATHS {
-        for kind in PolicyKind::COMPETITORS {
-            let host = workloads::contended_host(dp.transport);
-            let link = host.net.link_bandwidth;
-            let scenario = match dp.class {
-                FlowClass::CpuInvolved => workloads::involved_flows(8, 512, link),
-                // LineFS: 512 B messages, write-with-immediate per message.
-                FlowClass::CpuBypass => workloads::bypass_flows(8, 512, 512, link),
-            };
-            let app = dp.app;
-            jobs.push(Box::new(move || {
-                run_one(
-                    host,
-                    kind,
-                    scenario,
-                    workloads::app_factory(app),
-                    spans.warmup,
-                    spans.measure,
-                )
-            }));
-        }
-    }
-    let reports = run_jobs(jobs);
+    let points: Vec<(&Datapath, PolicyKind)> = DATAPATHS
+        .iter()
+        .flat_map(|dp| PolicyKind::COMPETITORS.map(|kind| (dp, kind)))
+        .collect();
+    let reports = run_jobs(jobs, &points, |&(dp, kind)| {
+        let host = workloads::contended_host(dp.transport);
+        let link = host.net.link_bandwidth;
+        let scenario = match dp.class {
+            FlowClass::CpuInvolved => workloads::involved_flows(8, 512, link),
+            // LineFS: 512 B messages, write-with-immediate per message.
+            FlowClass::CpuBypass => workloads::bypass_flows(8, 512, 512, link),
+        };
+        run_one(
+            host,
+            kind,
+            scenario,
+            workloads::app_factory(dp.app),
+            spans.warmup,
+            spans.measure,
+        )
+    });
 
     let mut t = Table::new(
         "Table 2 — P99 / P99.9 latency (us), 512B RPC under saturation (echo-workload substitution, see module docs)",

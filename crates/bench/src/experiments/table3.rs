@@ -30,31 +30,29 @@ fn lat_host() -> HostConfig {
 }
 
 /// Run Table 3 and return the formatted report.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool, jobs: usize) -> String {
     let spans = workloads::spans(quick);
     let variants = [
         ("RDMA write", PolicyKind::Baseline),
         ("Fast path", PolicyKind::Ceio),
         ("Slow path", PolicyKind::CeioSlowOnly),
     ];
-    let mut jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = Vec::new();
-    for &size in &SIZES {
-        for &(_, kind) in &variants {
-            let host = lat_host();
-            let scen = scenario(size, &host);
-            jobs.push(Box::new(move || {
-                run_one(
-                    host,
-                    kind,
-                    scen,
-                    workloads::app_factory(AppKind::Sink),
-                    spans.warmup,
-                    spans.measure,
-                )
-            }));
-        }
-    }
-    let reports = run_jobs(jobs);
+    let points: Vec<(u64, PolicyKind)> = SIZES
+        .iter()
+        .flat_map(|&size| variants.map(|(_, kind)| (size, kind)))
+        .collect();
+    let reports = run_jobs(jobs, &points, |&(size, kind)| {
+        let host = lat_host();
+        let scen = scenario(size, &host);
+        run_one(
+            host,
+            kind,
+            scen,
+            workloads::app_factory(AppKind::Sink),
+            spans.warmup,
+            spans.measure,
+        )
+    });
 
     let mut t = Table::new(
         "Table 3 — ib_write_lat-style latency (us, median)",
@@ -88,6 +86,5 @@ pub fn run(quick: bool) -> String {
             ratio(slow),
         ]);
     }
-    let _ = quick;
     t.render()
 }

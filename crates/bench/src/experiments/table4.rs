@@ -11,37 +11,33 @@
 use crate::runner::{run_jobs, run_one, PolicyKind};
 use crate::table::{self, Table};
 use crate::workloads::{self, AppKind, Transport};
-use ceio_host::RunReport;
 
 const RATIOS: [(u32, u32, &str); 3] = [(6, 2, "3:1"), (4, 4, "1:1"), (2, 6, "1:3")];
 
 /// Run Table 4 and return the formatted report.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool, jobs: usize) -> String {
     let spans = workloads::spans(quick);
     let policies = [
         PolicyKind::Baseline,
         PolicyKind::CeioNoOpt,
         PolicyKind::Ceio,
     ];
-    let mut jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = Vec::new();
-    for &(inv, byp, _) in &RATIOS {
-        for &kind in &policies {
-            let host = workloads::contended_host(Transport::Dpdk);
-            let link = host.net.link_bandwidth;
-            let scen = workloads::mixed_flows(inv, byp, 512, link);
-            jobs.push(Box::new(move || {
-                run_one(
-                    host,
-                    kind,
-                    scen,
-                    workloads::app_factory(AppKind::Mixed),
-                    spans.warmup,
-                    spans.measure,
-                )
-            }));
-        }
-    }
-    let reports = run_jobs(jobs);
+    let points: Vec<(u32, u32, PolicyKind)> = RATIOS
+        .iter()
+        .flat_map(|&(inv, byp, _)| policies.map(|kind| (inv, byp, kind)))
+        .collect();
+    let reports = run_jobs(jobs, &points, |&(inv, byp, kind)| {
+        let host = workloads::contended_host(Transport::Dpdk);
+        let link = host.net.link_bandwidth;
+        run_one(
+            host,
+            kind,
+            workloads::mixed_flows(inv, byp, 512, link),
+            workloads::app_factory(AppKind::Mixed),
+            spans.warmup,
+            spans.measure,
+        )
+    });
 
     let mut t = Table::new(
         "Table 4 — CPU-involved throughput (Mpps) on mixed I/O flows",

@@ -1,5 +1,5 @@
-//! Shared run infrastructure: uniform policy dispatch and a parallel job
-//! runner.
+//! Shared run infrastructure: uniform policy dispatch and a bounded
+//! parallel job runner.
 //!
 //! The host machine is generic over its `IoPolicy`; experiments need to
 //! sweep policies in one loop, so [`AnyPolicy`] enum-dispatches the four
@@ -16,6 +16,7 @@ use ceio_host::{
 };
 use ceio_net::{FlowId, Packet, Scenario};
 use ceio_sim::{Duration, Time};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which policy to instantiate for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,28 +190,13 @@ pub fn run_one(
     warmup: Duration,
     measure: Duration,
 ) -> RunReport {
-    run_one_scoped(host, kind, scenario, factory, warmup, measure, None, None).0
+    run_one_with_plan(host, kind, scenario, factory, warmup, measure, None).0
 }
 
-/// Flight-recorder arming parameters for [`run_one_scoped`].
-pub struct ScopeOptions {
-    /// Sampling interval in sim time.
-    pub interval: Duration,
-    /// Ring capacity per recorded series (drop-oldest beyond).
-    pub cap: usize,
-    /// SLO rules to arm, evaluated each sampling epoch.
-    pub slos: Vec<ceio_telemetry::SloRule>,
-    /// Also arm the event trace ring at this capacity, so alert fires
-    /// land in the trace as `slo-alert` events.
-    pub trace_cap: Option<usize>,
-}
-
-/// The full-surface run entry point: optional fault plan, optional armed
-/// flight recorder. The finished simulation is returned so callers can
-/// read the recorder ([`Machine::scope`]), snapshot metrics, or drain
-/// traces after the run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_one_scoped(
+/// [`run_one`] with an optional fault plan armed, returning the finished
+/// simulation as well, so callers can read failover state, snapshot
+/// metrics, or count injected faults after the run.
+pub fn run_one_with_plan(
     host: HostConfig,
     kind: PolicyKind,
     scenario: Scenario,
@@ -218,7 +204,6 @@ pub fn run_one_scoped(
     warmup: Duration,
     measure: Duration,
     plan: Option<&FaultPlan>,
-    scope: Option<ScopeOptions>,
 ) -> (RunReport, ceio_sim::Simulation<Machine<AnyPolicy>>) {
     let policy = kind.build(&host);
     let mut sim = Machine::build(host, policy, scenario, factory);
@@ -226,12 +211,6 @@ pub fn run_one_scoped(
         // The free function also schedules the queue-health watchdog when
         // the plan carries a queue-level fault site.
         ceio_host::arm_chaos(&mut sim, p);
-    }
-    if let Some(s) = scope {
-        if let Some(cap) = s.trace_cap {
-            sim.model.arm_trace(cap);
-        }
-        ceio_host::arm_scope(&mut sim, s.interval, s.cap, s.slos);
     }
     let mut report = run_to_report(&mut sim, warmup, measure);
     report.policy = kind.name().to_string();
@@ -274,35 +253,43 @@ pub fn series_csv(report: &RunReport) -> String {
     csv
 }
 
-/// Run independent jobs in parallel (one OS thread each, results returned
-/// in job order). Each job constructs and runs its own simulation, so
-/// determinism is preserved per job.
-pub fn run_jobs<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>) -> Vec<T> {
-    let n = jobs.len();
-    let results: std::sync::Mutex<Vec<Option<T>>> =
-        std::sync::Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for (i, job) in jobs.into_iter().enumerate() {
-            let results = &results;
-            scope.spawn(move || {
-                let out = job();
-                // On Err a sibling panicked while holding the lock; the
-                // scope will re-raise that panic, so just drop our result.
-                if let Ok(mut slots) = results.lock() {
-                    slots[i] = Some(out);
-                }
-            });
-        }
-        // `std::thread::scope` joins every thread here and re-raises any
-        // job panic, so all result slots are filled on normal exit.
+/// Run `job` over every point on at most `width` worker threads and
+/// return the results in point order. Workers pull point indices from one
+/// shared counter, so a slow point never idles a worker that could take
+/// the next one; every width, 1 included, runs through the same code.
+/// Each job builds and runs its own simulation, so results do not depend
+/// on `width` or on which worker ran a point.
+pub fn run_jobs<I: Sync, T: Send>(
+    width: usize,
+    points: &[I],
+    job: impl Fn(&I) -> T + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..width.max(1).min(points.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        // The counter only hands out indices (each once,
+                        // by the atomic add); results travel back through
+                        // the join, so no ordering beyond Relaxed is needed.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(point) = points.get(i) else {
+                            return out;
+                        };
+                        out.push((i, job(point)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.unwrap_or_else(|| panic!("invariant: job {i} joined without a result")))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]
@@ -362,11 +349,30 @@ mod tests {
     }
 
     #[test]
-    fn run_jobs_preserves_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16usize)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let out = run_jobs(jobs);
-        assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
+    fn run_jobs_keeps_job_order_on_width_threads() {
+        let points: Vec<usize> = (0..16).collect();
+        for width in [1, 3] {
+            // The first `width` jobs meet at a barrier, so each holds its
+            // worker until all of them run: they run on `width` distinct
+            // threads, and every worker's results interleave with the
+            // others' in job order.
+            let barrier = std::sync::Barrier::new(width);
+            let out = run_jobs(width, &points, |&i| {
+                if i < width {
+                    barrier.wait();
+                }
+                (i * i, std::thread::current().id())
+            });
+            let squares: Vec<usize> = out.iter().map(|&(sq, _)| sq).collect();
+            assert_eq!(squares, points.iter().map(|i| i * i).collect::<Vec<_>>());
+            let threads: std::collections::HashSet<_> = out.iter().map(|&(_, id)| id).collect();
+            assert_eq!(
+                threads.len(),
+                width,
+                "width {width} used another thread count"
+            );
+            assert!(!threads.contains(&std::thread::current().id()));
+        }
+        assert!(run_jobs(2, &[] as &[u64], |&i| i).is_empty());
     }
 }

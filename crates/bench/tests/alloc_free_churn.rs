@@ -87,9 +87,9 @@ fn many_flow_polls_allocate_nothing() {
         involved_flows(256, 512, link),
         app_factory(AppKind::Echo),
     );
-    // Warm-up: the payload slabs, the engine's key slab, every flow's
-    // delivery ring, slow queue and latency histogram, and the scratch
-    // batches grow to their high-water marks. The window then holds one
+    // Warm-up: the wire FIFO, the DMA slab, the engine's key slab, every
+    // flow's delivery ring, slow queue and latency histogram, and the
+    // scratch batches grow to their high-water marks. The window then holds one
     // 1 ms measurement sample, which the per-window series have room for.
     let warm = Time::ZERO + Duration::millis(4);
     sim.run_until(warm, u64::MAX);

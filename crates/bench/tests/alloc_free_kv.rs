@@ -83,8 +83,8 @@ fn productive_kv_polls_allocate_nothing() {
         involved_flows(16, 512, link),
         app_factory(AppKind::Kv),
     );
-    // Warm-up: the LLC slab, the payload slabs, the engine's key slab and
-    // every flow's delivery ring grow to their high-water marks. The last
+    // Warm-up: the LLC slab, the wire FIFO, the DMA slab, the engine's key
+    // slab and every flow's delivery ring grow to their high-water marks. The last
     // ring reaches its widest reorder window at ~18 ms. The window then
     // holds one 1 ms measurement sample, the 21st, which the per-window
     // series (grown by doubling) already have room for.

@@ -34,7 +34,7 @@ fn malformed_fault_plan_specs_are_rejected() {
 
 mod armed {
     use super::*;
-    use ceio_bench::runner::{run_one_scoped, series_csv, PolicyKind};
+    use ceio_bench::runner::{run_one_with_plan, series_csv, PolicyKind};
     use ceio_bench::workloads::{self, AppKind, Transport};
     use ceio_sim::{Duration, Time};
 
@@ -42,7 +42,7 @@ mod armed {
         let plan = FaultPlan::parse("smoke", seed).expect("canned plan");
         let host = workloads::contended_host(Transport::Dpdk);
         let link = host.net.link_bandwidth;
-        let (report, _) = run_one_scoped(
+        let (report, _) = run_one_with_plan(
             host,
             PolicyKind::Ceio,
             workloads::involved_flows(8, 512, link),
@@ -50,7 +50,6 @@ mod armed {
             Duration::millis(1),
             Duration::millis(2),
             Some(&plan),
-            None,
         );
         series_csv(&report)
     }
@@ -72,7 +71,7 @@ mod armed {
             let plan = FaultPlan::parse("dma-flaky", seed).expect("canned plan");
             let host = workloads::contended_host(Transport::Dpdk);
             let link = host.net.link_bandwidth;
-            let (_, sim) = run_one_scoped(
+            let (_, sim) = run_one_with_plan(
                 host,
                 PolicyKind::Ceio,
                 workloads::involved_flows(8, 512, link),
@@ -80,7 +79,6 @@ mod armed {
                 Duration::millis(1),
                 Duration::millis(2),
                 Some(&plan),
-                None,
             );
             sim.model.injected_faults()
         };
@@ -93,14 +91,14 @@ mod armed {
     }
 
     #[test]
-    fn identical_flags_emit_byte_identical_snapshot_json() {
+    fn identical_flags_emit_byte_identical_metrics_snapshots() {
         let snapshot_for = || {
             let plan = FaultPlan::parse("smoke", 21).expect("canned plan");
             let host = workloads::contended_host(Transport::Dpdk);
             let link = host.net.link_bandwidth;
             let warmup = Duration::millis(1);
             let measure = Duration::millis(2);
-            let (_, sim) = run_one_scoped(
+            let (_, sim) = run_one_with_plan(
                 host,
                 PolicyKind::Ceio,
                 workloads::involved_flows(8, 512, link),
@@ -108,9 +106,10 @@ mod armed {
                 warmup,
                 measure,
                 Some(&plan),
-                None,
             );
-            sim.model.snapshot(Time::ZERO + warmup + measure).to_json()
+            sim.model
+                .snapshot(Time::ZERO + warmup + measure)
+                .to_prom_text()
         };
         let a = snapshot_for();
         let b = snapshot_for();

@@ -6,14 +6,15 @@
 //! never a silent fallback into a multi-second simulation with the wrong
 //! config. An output file that cannot be written exits 1 with a one-line
 //! reason. An output flag that the chosen mode never writes
-//! (`ceio-inspect --out` without `report`/`timeseries`, `ceio-trace
-//! --scope-out` without `--scope-interval`/`--slo`) is a malformed spec
-//! too.
+//! (`ceio-inspect --out` without `report`/`timeseries`) is a malformed
+//! spec too.
 //!
 //! Table-driven over both binaries: `ceio-trace` and `ceio-inspect`
 //! share their flag grammar (`ceio_bench::cli::RunSpec`), so any
 //! divergence in their rejection behavior is itself a bug this test
-//! catches.
+//! catches. The flight-recorder flags (`--scope-interval`, `--slo`) are
+//! `ceio-inspect`'s own: `ceio-trace` rejects them even with a valid
+//! value, and it has no `--scope-out`.
 
 use std::process::Command;
 
@@ -98,6 +99,28 @@ fn cases() -> Vec<(&'static str, Vec<&'static str>, &'static str)> {
     ]
 }
 
+/// Flags `ceio-trace` does not take, with values that `ceio-inspect`
+/// accepts.
+fn not_trace_flags() -> Vec<(&'static str, Vec<&'static str>, &'static str)> {
+    vec![
+        (
+            "scope interval on ceio-trace",
+            vec!["--scope-interval", "20us"],
+            "--scope-interval",
+        ),
+        (
+            "slo rule on ceio-trace",
+            vec!["--slo", "alert=a,when=goodput_gbps,above=1"],
+            "--slo",
+        ),
+        (
+            "scope output on ceio-trace",
+            vec!["--millis", "1", "--scope-out", "s.csv"],
+            "--scope-out",
+        ),
+    ]
+}
+
 fn assert_rejects(bin: &str, label: &str, args: &[&str], token: &str) {
     let out = Command::new(bin)
         .args(args)
@@ -142,19 +165,16 @@ fn malformed_specs_exit_2_with_one_line_reasons() {
         &["--ring", "0"],
         "--ring",
     );
-    // Output flags that the chosen mode never writes.
+    // An output flag that the chosen mode never writes.
     assert_rejects(
         env!("CARGO_BIN_EXE_ceio-inspect"),
         "report file without a report mode",
         &["--millis", "1", "--out", "x.html"],
         "--out",
     );
-    assert_rejects(
-        env!("CARGO_BIN_EXE_ceio-trace"),
-        "scope file without a scope",
-        &["--millis", "1", "--scope-out", "s.csv"],
-        "--scope-out",
-    );
+    for (label, args, token) in not_trace_flags() {
+        assert_rejects(env!("CARGO_BIN_EXE_ceio-trace"), label, &args, token);
+    }
 }
 
 /// An output path that cannot be written fails the run with exit 1 and a
@@ -170,8 +190,18 @@ fn unwritable_outputs_exit_1_with_one_line_reasons() {
     let cases: Vec<(&str, Vec<&str>)> = vec![
         (env!("CARGO_BIN_EXE_ceio-trace"), vec!["--out", bad]),
         (
-            env!("CARGO_BIN_EXE_ceio-trace"),
-            vec!["--scope-interval", "100us", "--scope-out", bad],
+            env!("CARGO_BIN_EXE_ceio-inspect"),
+            vec![
+                "timeseries",
+                "--scope-interval",
+                "100us",
+                "--trace-out",
+                &trace,
+                "--prom-out",
+                &prom,
+                "--out",
+                bad,
+            ],
         ),
         (
             env!("CARGO_BIN_EXE_ceio-inspect"),
@@ -183,9 +213,10 @@ fn unwritable_outputs_exit_1_with_one_line_reasons() {
         ),
     ];
     for (bin, extra) in cases {
+        // `extra` leads: a ceio-inspect mode must be the first argument.
         let out = Command::new(bin)
-            .args(["--millis", "1"])
             .args(&extra)
+            .args(["--millis", "1"])
             .output()
             .expect("spawn CLI binary");
         let stderr = String::from_utf8_lossy(&out.stderr);

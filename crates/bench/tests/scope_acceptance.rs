@@ -6,10 +6,10 @@
 //! `scripts/check.sh` scope smoke (which drives the same path through the
 //! `ceio-inspect` binary).
 
-use ceio_bench::runner::{run_one_scoped, PolicyKind, ScopeOptions};
+use ceio_bench::runner::PolicyKind;
 use ceio_bench::workloads::{self, AppKind, Transport};
 use ceio_chaos::FaultPlan;
-use ceio_host::DEFAULT_SCOPE_CAP;
+use ceio_host::{Machine, DEFAULT_SCOPE_CAP};
 use ceio_sim::Duration;
 use ceio_telemetry::{render_html, SloRule};
 
@@ -20,21 +20,16 @@ fn scoped_run() -> (String, Vec<(String, u64, bool)>, String) {
     let link = host.net.link_bandwidth;
     let slos = SloRule::parse_spec("alert=load,when=goodput_gbps,above=0.0001,for=100us")
         .expect("valid SLO spec");
-    let (_, sim) = run_one_scoped(
+    let policy = PolicyKind::Ceio.build(&host);
+    let mut sim = Machine::build(
         host,
-        PolicyKind::Ceio,
+        policy,
         workloads::involved_flows(8, 512, link),
         workloads::app_factory(AppKind::Kv),
-        Duration::millis(1),
-        Duration::millis(3),
-        Some(&plan),
-        Some(ScopeOptions {
-            interval: Duration::micros(20),
-            cap: DEFAULT_SCOPE_CAP,
-            slos,
-            trace_cap: None,
-        }),
     );
+    ceio_host::arm_chaos(&mut sim, &plan);
+    ceio_host::arm_scope(&mut sim, Duration::micros(20), DEFAULT_SCOPE_CAP, slos);
+    ceio_host::run_to_report(&mut sim, Duration::millis(1), Duration::millis(3));
     let rec = sim.model.scope().expect("recorder stays armed after run");
     let charts = [
         rec.chart(

@@ -51,6 +51,6 @@ pub use measure::{ClassSample, Measurements, RunReport};
 pub use policy::{DrainRequest, IoPolicy, SteerDecision, UnmanagedPolicy};
 pub use rxq::{QueueState, RxQueue, RxQueueStats};
 pub use scope::{arm_scope, DEFAULT_SCOPE_CAP};
-pub use slab::{DmaId, PktId};
+pub use slab::DmaId;
 pub use swring::{ReadyPkt, SlowPkt, SwRing};
 pub use telemetry::HostTrace;

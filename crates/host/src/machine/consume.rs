@@ -90,7 +90,7 @@ impl<P: IoPolicy> Machine<P> {
     fn schedule_slow_arrivals(&mut self, at_host: Time, queue: &mut EventQueue<Event>) {
         for sp in self.slow_batch.drain(..) {
             let buf = self.st.alloc_buf();
-            let did = self.st.slabs.intern_dma(PendingDma {
+            let did = self.st.dmas.intern(PendingDma {
                 pkt: sp.pkt,
                 buf,
                 nic_seq: sp.nic_seq,

@@ -136,7 +136,7 @@ impl<P: IoPolicy> Machine<P> {
                     // The completion credit must return to the channel that
                     // paid it, whatever `queue_of` says by completion time.
                     pd.queue = q;
-                    let did = self.st.slabs.intern_dma(pd);
+                    let did = self.st.dmas.intern(pd);
                     queue.schedule_at(arrival, Event::HostArrive(did));
                 }
                 // Credit stall: the issue retries when a completion frees a
@@ -206,7 +206,7 @@ impl<P: IoPolicy> Machine<P> {
     /// on the same descriptor handle. Shared by the direct-arrival path and
     /// the IIO-backlog drain.
     fn begin_retire(&mut self, now: Time, did: DmaId, queue: &mut EventQueue<Event>) {
-        let pd = *self.st.slabs.dma(did);
+        let pd = *self.st.dmas.get(did);
         if !pd.via_slow {
             self.st.dma.complete_write_on(pd.queue);
             self.st.trace_event(
@@ -239,7 +239,7 @@ impl<P: IoPolicy> Machine<P> {
     }
 
     pub(super) fn on_host_arrive(&mut self, now: Time, did: DmaId, queue: &mut EventQueue<Event>) {
-        if self.st.memctrl.stage(self.st.slabs.dma(did).pkt.bytes) {
+        if self.st.memctrl.stage(self.st.dmas.get(did).pkt.bytes) {
             self.begin_retire(now, did, queue);
             self.pump_all(queue, now);
         } else {
@@ -256,8 +256,8 @@ impl<P: IoPolicy> Machine<P> {
             ..
         } = self
             .st
-            .slabs
-            .take_dma(did)
+            .dmas
+            .take(did)
             .expect("invariant: a DMA handle is redeemed once, by its HostRetire");
         self.st.memctrl.retire_done(pkt.bytes);
 
@@ -287,7 +287,7 @@ impl<P: IoPolicy> Machine<P> {
 
         // IIO space freed at retire: admit parked arrivals.
         while let Some(&front) = self.st.iio_pending.front() {
-            if self.st.memctrl.stage(self.st.slabs.dma(front).pkt.bytes) {
+            if self.st.memctrl.stage(self.st.dmas.get(front).pkt.bytes) {
                 self.st.iio_pending.pop_front();
                 self.begin_retire(now, front, queue);
             } else {

@@ -9,12 +9,16 @@
 //! defense-in-depth for same-nanosecond races that dispatch before the
 //! cancel runs).
 //!
-//! `NicRx` carries a [`PktId`]; the wire packet is interned at emission and
-//! redeemed here, so the event stays two words on the engine's hot path.
+//! An admitted packet waits in [`super::HostState::on_wire`] and its
+//! `NicRx` carries only the flow id, so the event stays two words on the
+//! engine's hot path. The link serializes packets one after another, so
+//! no arrival precedes the previous one, and the engine breaks ties in
+//! scheduling order: `NicRx` events dispatch in admission order, and the
+//! front of the FIFO is always the dispatching event's packet (DESIGN.md
+//! §25).
 
 use crate::policy::{IoPolicy, SteerDecision};
 use crate::rxq::PendingDma;
-use crate::slab::PktId;
 use ceio_net::ingress::IngressOutcome;
 use ceio_net::FlowId;
 use ceio_sim::{EventQueue, Time};
@@ -55,8 +59,8 @@ impl<P: IoPolicy> Machine<P> {
             IngressOutcome::Delivered { arrival, marked } => {
                 pkt.ecn = marked;
                 pkt.arrived_nic = arrival;
-                let pid = self.st.slabs.intern_pkt(pkt);
-                queue.schedule_at(arrival, Event::NicRx(pid));
+                self.st.on_wire.push_back(pkt);
+                queue.schedule_at(arrival, Event::NicRx(id));
                 false
             }
             IngressOutcome::Dropped => {
@@ -71,12 +75,13 @@ impl<P: IoPolicy> Machine<P> {
         }
     }
 
-    pub(super) fn on_nic_rx(&mut self, now: Time, pid: PktId, queue: &mut EventQueue<Event>) {
+    pub(super) fn on_nic_rx(&mut self, now: Time, flow: FlowId, queue: &mut EventQueue<Event>) {
         let pkt = self
             .st
-            .slabs
-            .take_pkt(pid)
-            .expect("invariant: a NicRx handle is interned once and redeemed once");
+            .on_wire
+            .pop_front()
+            .filter(|pkt| pkt.flow == flow)
+            .expect("invariant: NicRx events dispatch in admission order, one per admitted packet");
         if !self.st.flows.contains_key(&pkt.flow) {
             self.st.account_drop(now, pkt.flow, pkt.bytes, false);
             return;

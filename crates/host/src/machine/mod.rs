@@ -28,8 +28,9 @@
 //! * [`mod@control`] — scenario steps, flow lifecycle, the queue-health
 //!   watchdog and failover (`ScenarioStep`, `Watchdog`), and chaos arming.
 //!
-//! Packet-carrying events hold slab handles ([`PktId`], [`DmaId`]) rather
-//! than payloads, keeping `Event` small on the event queue's hot path (see
+//! Packet-carrying events hold a flow id (`NicRx`, whose packet waits in
+//! [`HostState::on_wire`]) or a slab handle ([`DmaId`]) rather than
+//! payloads, keeping `Event` small on the event queue's hot path (see
 //! [`crate::slab`]).
 
 pub(crate) mod consume;
@@ -47,12 +48,14 @@ use crate::measure::{Measurements, RunReport};
 use crate::policy::IoPolicy;
 use crate::rxq::RxQueue;
 use crate::service::ServiceList;
-use crate::slab::{DmaId, PayloadSlabs, PktId};
+use crate::slab::{DmaId, DmaSlab};
 use crate::swring::{ReadyPkt, SlowPkt};
 use ceio_cpu::{Application, CpuCore};
 use ceio_mem::{BufferId, MemoryController};
 use ceio_net::generator::Pacing;
-use ceio_net::{FlowClass, FlowId, FlowMap, FlowSpec, IngressLink, Scenario, ScenarioEvent};
+use ceio_net::{
+    FlowClass, FlowId, FlowMap, FlowSpec, IngressLink, Packet, Scenario, ScenarioEvent,
+};
 use ceio_nic::{rss_queue, ArmCore, OnboardMemory, QueueId, RmtEngine, SteerAction};
 use ceio_pcie::DmaEngine;
 use ceio_sim::{Bandwidth, EventQueue, Histogram, Model, Rng, Simulation, Time};
@@ -61,9 +64,10 @@ use std::collections::VecDeque;
 /// Machine events.
 ///
 /// Size matters: the engine stores every queued event inline in its
-/// calendar keys, so packet-carrying variants hold generational slab
-/// handles ([`PktId`], [`DmaId`]) instead of payloads — the whole enum is a
-/// tag plus at most two machine words (pinned by a `size_of` test).
+/// calendar keys, so packet-carrying variants hold a flow id or a
+/// generational slab handle ([`DmaId`]) instead of payloads — the whole
+/// enum is a tag plus at most two machine words (pinned by a `size_of`
+/// test).
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
     /// Apply scenario event `idx`.
@@ -77,9 +81,9 @@ pub enum Event {
         /// Emission-chain epoch.
         epoch: u64,
     },
-    /// A packet arrived at the NIC from the wire (payload interned in the
-    /// packet slab).
-    NicRx(PktId),
+    /// A packet of this flow arrived at the NIC from the wire: the front
+    /// of [`HostState::on_wire`].
+    NicRx(FlowId),
     /// DMA-written data arrived at the host IIO buffer (descriptor
     /// interned in the DMA slab; it carries the issuing queue, because
     /// failover can remap `queue_of` between issue and completion and the
@@ -158,6 +162,11 @@ pub struct HostState {
     app_factory: AppFactory,
     /// The shared receiver link.
     pub ingress: IngressLink,
+    /// Packets the link admitted that have not reached the NIC yet, in
+    /// admission order. Each has one `NicRx` event in flight, and those
+    /// dispatch in the same order (DESIGN.md §25), so `NicRx` pops the
+    /// front.
+    pub(crate) on_wire: VecDeque<Packet>,
     /// The NIC's RMT steering engine (policies program it).
     pub rmt: RmtEngine,
     /// On-NIC elastic-buffer memory.
@@ -195,9 +204,9 @@ pub struct HostState {
     queue_remap: Vec<usize>,
     /// Arrivals parked until the IIO buffer has room, by descriptor handle.
     iio_pending: VecDeque<DmaId>,
-    /// Slabs interning in-flight packet payloads, so packet-carrying
-    /// events are handle-sized on the event queue (see [`crate::slab`]).
-    pub(crate) slabs: PayloadSlabs,
+    /// Slab interning in-flight DMA descriptors, so the DMA events are
+    /// handle-sized on the event queue (see [`crate::slab`]).
+    pub(crate) dmas: DmaSlab,
     /// Engine event-queue counters, mirrored per event for telemetry.
     pub engine: EngineStats,
     /// NIC→host DMA pacing rate installed by policies (HostCC throttling).
@@ -447,6 +456,7 @@ impl<P: IoPolicy> Machine<P> {
             apps: FlowMap::new(),
             app_factory,
             ingress: IngressLink::new(cfg.net.clone()),
+            on_wire: VecDeque::new(),
             rmt: RmtEngine::new(SteerAction::FastPath {
                 queue: QueueId::ZERO,
             }),
@@ -468,7 +478,7 @@ impl<P: IoPolicy> Machine<P> {
             rxq: (0..num_queues).map(|_| RxQueue::new()).collect(),
             queue_remap: (0..num_queues).collect(),
             iio_pending: VecDeque::new(),
-            slabs: PayloadSlabs::new(),
+            dmas: DmaSlab::new(),
             engine: EngineStats::default(),
             dma_pace: None,
             dma_pace_until: Time::ZERO,

@@ -1,13 +1,14 @@
-//! Generational slab interning in-flight packet payloads.
+//! Generational slab interning in-flight DMA descriptors.
 //!
 //! The engine's future-event list stores every queued event inline in its
 //! keys, so a fat event body is paid for on each push, drain and pop.
-//! Interning the two packet-carrying payloads ([`Packet`] for
-//! `NicRx`, [`PendingDma`] for `HostArrive`/`HostRetire`) in a slab shrinks
-//! the queued `Event` to a tag plus one index-sized handle. A packet is
-//! written once at schedule time and taken at its dispatch; a DMA
-//! descriptor is written once at issue, read in place on arrival and taken
-//! at retirement, so one slot carries it through both events.
+//! Interning the [`PendingDma`] that `HostArrive`/`HostRetire` carry in a
+//! slab shrinks the queued `Event` to a tag plus one index-sized handle. A
+//! DMA descriptor is written once at issue, read in place on arrival and
+//! taken at retirement, so one slot carries it through both events. (A
+//! wire packet needs no slab: `NicRx` events dispatch in emission order,
+//! so the packets wait in a FIFO instead; see
+//! `crate::machine::HostState::on_wire`.)
 //!
 //! Handles are generational: a slot's generation bumps on every insert and
 //! every free, so a handle that outlives its payload (a model bug) is
@@ -15,13 +16,8 @@
 //! LIFO, which keeps the working set of hot slots small and — because
 //! recycling order is purely a function of the event schedule — fully
 //! deterministic.
-//!
-//! The issue for this refactor asked for a `PacketId` handle name, but
-//! [`ceio_net::PacketId`] already names the per-packet wire serial, so the
-//! slab handles are [`PktId`] and [`DmaId`] instead.
 
 use crate::rxq::PendingDma;
-use ceio_net::Packet;
 
 /// A generational slab: `insert` returns a [`SlabHandle`] that `take`
 /// redeems exactly once.
@@ -98,13 +94,6 @@ impl<T: Copy> Slab<T> {
     }
 }
 
-/// Handle to an interned [`Packet`] riding a `NicRx` event.
-///
-/// (Named `PktId` rather than `PacketId`: the latter is already the wire
-/// serial in `ceio-net`.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PktId(pub(crate) SlabHandle);
-
 /// Handle to an interned [`PendingDma`]: one slab slot per descriptor from
 /// DMA issue to memory retirement. The `HostArrive` event reads it in
 /// place, an IIO-parked arrival waits on it, the `HostRetire` event reuses
@@ -112,46 +101,30 @@ pub struct PktId(pub(crate) SlabHandle);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmaId(pub(crate) SlabHandle);
 
-/// The two payload slabs of a running machine.
+/// The DMA descriptor slab of a running machine.
 #[derive(Debug)]
-pub(crate) struct PayloadSlabs {
-    pub(crate) pkts: Slab<Packet>,
-    pub(crate) dmas: Slab<PendingDma>,
-}
+pub(crate) struct DmaSlab(Slab<PendingDma>);
 
-impl PayloadSlabs {
+impl DmaSlab {
     pub(crate) fn new() -> Self {
-        PayloadSlabs {
-            pkts: Slab::new(),
-            dmas: Slab::new(),
-        }
-    }
-
-    /// Intern a wire packet for a `NicRx` event.
-    pub(crate) fn intern_pkt(&mut self, pkt: Packet) -> PktId {
-        PktId(self.pkts.insert(pkt))
-    }
-
-    /// Redeem a `NicRx` packet handle.
-    pub(crate) fn take_pkt(&mut self, id: PktId) -> Option<Packet> {
-        self.pkts.take(id.0)
+        DmaSlab(Slab::new())
     }
 
     /// Intern a DMA descriptor for a `HostArrive`/`HostRetire` event.
-    pub(crate) fn intern_dma(&mut self, dma: PendingDma) -> DmaId {
-        DmaId(self.dmas.insert(dma))
+    pub(crate) fn intern(&mut self, dma: PendingDma) -> DmaId {
+        DmaId(self.0.insert(dma))
     }
 
     /// Read a DMA descriptor in place (it stays interned).
-    pub(crate) fn dma(&self, id: DmaId) -> &PendingDma {
-        self.dmas
+    pub(crate) fn get(&self, id: DmaId) -> &PendingDma {
+        self.0
             .get(id.0)
             .expect("invariant: a DMA handle stays interned until its retire")
     }
 
     /// Redeem a DMA descriptor handle.
-    pub(crate) fn take_dma(&mut self, id: DmaId) -> Option<PendingDma> {
-        self.dmas.take(id.0)
+    pub(crate) fn take(&mut self, id: DmaId) -> Option<PendingDma> {
+        self.0.take(id.0)
     }
 }
 

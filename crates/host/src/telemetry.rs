@@ -6,9 +6,8 @@
 //! * [`Machine::snapshot`] — always available: one [`Snapshot`] gathering
 //!   every component's `*Stats` struct (ingress, RMT, on-NIC memory, ARM
 //!   core, DMA, LLC/IIO/DRAM, CPU cores), the machine's own counters and
-//!   latency histograms, the measurement time series, the policy's private
-//!   metrics, and — when an auditor is armed — the invariant auditor's
-//!   report.
+//!   latency histograms, the policy's private metrics, and — when an
+//!   auditor is armed — the invariant auditor's report.
 //! * Event tracing — armed at runtime by [`Machine::arm_trace`]: a
 //!   per-machine [`TraceRing`] plus a per-flow [`BreakdownSet`], fed by
 //!   hooks in the event handlers. Until armed, [`HostState::trace_event`]
@@ -75,9 +74,8 @@ impl HostState {
 
 impl<P: IoPolicy> Machine<P> {
     /// Take a full metrics snapshot at `now`: every component's stats,
-    /// the machine counters and latency summaries, the measurement
-    /// series, the policy's own metrics, and (when armed) the audit
-    /// outcome. Always available — tracing is not required.
+    /// the machine counters and latency summaries, the policy's own
+    /// metrics, and (when armed) the audit outcome. Always available — tracing is not required.
     pub fn snapshot(&self, now: Time) -> Snapshot {
         let st = &self.st;
         let mut b = SnapshotBuilder::new(now);
@@ -620,18 +618,10 @@ impl<P: IoPolicy> Machine<P> {
             }
         }
 
-        // Measurement time series.
-        b.series(&st.meas.involved_mpps);
-        b.series(&st.meas.bypass_gbps);
-        b.series(&st.meas.miss_rate);
-        b.series(&st.meas.fast_gbps);
-        b.series(&st.meas.slow_gbps);
-        b.series(&st.meas.drops);
-
         // Policy-private metrics (credits, controller state, ...).
         self.policy.fill_metrics(&mut b);
 
-        // Flight-recorder state (scope series, SLO alert counters), when a
+        // Flight-recorder state (sampling counters, SLO alerts), when a
         // recorder is armed (see crate::scope).
         if let Some(rec) = st.scope.as_deref() {
             rec.fill_metrics(&mut b);

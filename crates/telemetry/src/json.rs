@@ -1,9 +1,9 @@
 //! Hand-rolled JSON helpers: string escaping, finite-safe float
 //! formatting, and a minimal validator.
 //!
-//! The workspace builds offline with no serialization crate, so every
-//! exporter in this crate emits JSON by hand. These helpers keep
-//! that honest: [`escape`] handles the mandatory escapes of RFC 8259,
+//! The workspace builds offline with no serialization crate, so the Chrome
+//! trace exporter emits JSON by hand, and the prom text and scope CSV
+//! reuse these helpers. They keep that honest: [`escape`] handles the mandatory escapes of RFC 8259,
 //! [`fmt_f64`] never emits `NaN`/`inf` (which are not JSON), and
 //! [`validate`] is a small recursive-descent checker used by tests and by
 //! the `ceio-inspect` smoke path to assert emitted documents parse.

@@ -6,9 +6,8 @@
 //!
 //! 1. **Metrics registry** ([`Snapshot`], [`SnapshotBuilder`]): one
 //!    labeled, serializable aggregation point for every component's
-//!    `*Stats` struct and the run's [`ceio_sim::TimeSeries`], exported as
-//!    Prometheus text exposition ([`Snapshot::to_prom_text`]) or JSON
-//!    ([`Snapshot::to_json`]). Armed audit runs surface their
+//!    `*Stats` struct, exported as Prometheus text exposition
+//!    ([`Snapshot::to_prom_text`]). Armed audit runs surface their
 //!    [`AuditSummary`] here instead of dropping violations on the floor.
 //!
 //! 2. **Event tracing** ([`TraceEvent`], [`TraceRing`]): bounded

@@ -29,14 +29,14 @@
 //!
 //! 3. **Reporting** — [`FlightRecorder::to_csv`] (wide, one column per
 //!    gauge), snapshot integration via [`FlightRecorder::fill_metrics`]
-//!    (alert counters plus every series in the JSON export), and
+//!    (bookkeeping and alert counters), and
 //!    [`render_html`]: a self-contained HTML document with inline SVG
 //!    charts (no external assets) reproducing the paper-style
 //!    occupancy-over-time and goodput-over-time figures.
 
 use crate::json::fmt_f64;
 use crate::snapshot::SnapshotBuilder;
-use ceio_sim::{Duration, Time, TimeSeries};
+use ceio_sim::{Duration, Time};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 
@@ -500,8 +500,7 @@ impl FlightRecorder {
     }
 
     /// Contribute the recorder's state to a metrics snapshot: scope
-    /// bookkeeping counters, per-alert `ceio_alert_*` samples, and every
-    /// recorded series (named `scope:<key>` in the JSON export).
+    /// bookkeeping counters and per-alert `ceio_alert_*` samples.
     pub fn fill_metrics(&self, b: &mut SnapshotBuilder) {
         b.gauge(
             "ceio_scope_interval_ns",
@@ -542,13 +541,6 @@ impl FlightRecorder {
                 &lbl,
                 if s.active { 1.0 } else { 0.0 },
             );
-        }
-        for s in &self.series {
-            let mut ts = TimeSeries::new(format!("scope:{}", s.key));
-            for (t, v) in s.points() {
-                ts.push(t, v);
-            }
-            b.series(&ts);
         }
     }
 
@@ -1030,9 +1022,6 @@ mod tests {
             "{prom}"
         );
         assert!(prom.contains("ceio_alerts_fired_total 1"), "{prom}");
-        let json = snap.to_json();
-        crate::json::validate(&json).expect("scope snapshot JSON must parse");
-        assert!(json.contains("\"scope:g\""), "{json}");
     }
 
     #[test]

@@ -2,22 +2,18 @@
 //!
 //! Every component of the simulated host keeps its own `*Stats` struct
 //! (RMT, ARM, onboard memory, DMA, LLC, IIO, DRAM, CPU cores, ingress,
-//! credits, controller). A [`Snapshot`] aggregates all of them — plus the
-//! run's time series and, when armed, the audit report — behind one type
-//! with two hand-written exporters:
-//!
-//! * [`Snapshot::to_prom_text`] — Prometheus text exposition (`# HELP` /
-//!   `# TYPE` preambles, labeled samples, summary quantiles), scrapeable
-//!   or diffable;
-//! * [`Snapshot::to_json`] — a stable JSON document for programmatic
-//!   consumption.
+//! credits, controller). A [`Snapshot`] aggregates all of them — plus,
+//! when armed, the audit report — behind one type
+//! with one hand-written exporter, [`Snapshot::to_prom_text`]: Prometheus
+//! text exposition (`# HELP` / `# TYPE` preambles, labeled samples,
+//! summary quantiles), scrapeable or diffable.
 //!
 //! Serialization is hand-rolled because the workspace builds offline with
-//! no serialization crate; the emitters are small, deterministic
+//! no serialization crate; the emitter is small, deterministic
 //! (insertion-ordered), and covered by golden-file tests.
 
 use crate::json::{escape, fmt_f64};
-use ceio_sim::{Histogram, Time, TimeSeries};
+use ceio_sim::{Histogram, Time};
 use std::fmt::Write as _;
 
 /// The value of one metric sample.
@@ -95,8 +91,6 @@ pub struct Snapshot {
     pub at: Time,
     /// All metric samples, in registration order.
     pub metrics: Vec<Metric>,
-    /// Time series captured during the run (measurement windows).
-    pub series: Vec<TimeSeries>,
     /// Audit outcome, when an auditor was armed.
     pub audit: Option<AuditSummary>,
 }
@@ -167,99 +161,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Render the snapshot as a JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"at_ns\":{}", self.at.nanos());
-        out.push_str(",\"metrics\":[");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"help\":\"{}\",\"type\":\"{}\"",
-                escape(&m.name),
-                escape(m.help),
-                m.value.type_name()
-            );
-            if !m.labels.is_empty() {
-                out.push_str(",\"labels\":{");
-                for (j, (k, v)) in m.labels.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\":\"{}\"", escape(k), escape(v));
-                }
-                out.push('}');
-            }
-            match &m.value {
-                MetricValue::Counter(v) => {
-                    let _ = write!(out, ",\"value\":{v}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = write!(out, ",\"value\":{}", fmt_f64(*v));
-                }
-                MetricValue::Summary {
-                    quantiles,
-                    sum,
-                    count,
-                } => {
-                    out.push_str(",\"quantiles\":{");
-                    for (j, (q, v)) in quantiles.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "\"{}\":{}", fmt_f64(*q), v);
-                    }
-                    let _ = write!(out, "}},\"sum\":{sum},\"count\":{count}");
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("],\"series\":[");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"name\":\"{}\",\"points\":[", escape(&s.name));
-            for (j, (t, v)) in s.points.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{},{}]", t.nanos(), fmt_f64(*v));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"audit\":");
-        match &self.audit {
-            None => out.push_str("null"),
-            Some(a) => {
-                let _ = write!(
-                    out,
-                    "{{\"events_checked\":{},\"total_violations\":{},\"invariants\":[",
-                    a.events_checked, a.total_violations
-                );
-                for (i, inv) in a.invariants.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\"", escape(inv));
-                }
-                out.push_str("],\"violations\":[");
-                for (i, v) in a.violations.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\"", escape(v));
-                }
-                out.push_str("]}");
-            }
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// Coerce a metric name into the Prometheus exposition grammar
@@ -267,8 +168,7 @@ impl Snapshot {
 /// `_`, and a name whose first character is a digit gains a `_` prefix.
 /// Scrapers reject malformed names outright, so a snapshot carrying one
 /// stray key (say, a flow tag with a dash) would otherwise poison the
-/// whole export. JSON output keeps the original name — only the prom
-/// format constrains the alphabet.
+/// whole export. The snapshot itself keeps the original name.
 fn sanitize_metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
@@ -327,7 +227,6 @@ impl SnapshotBuilder {
             snap: Snapshot {
                 at,
                 metrics: Vec::new(),
-                series: Vec::new(),
                 audit: None,
             },
         }
@@ -403,11 +302,6 @@ impl SnapshotBuilder {
         });
     }
 
-    /// Attach a time series (cloned; the live run keeps its own).
-    pub fn series(&mut self, s: &TimeSeries) {
-        self.snap.series.push(s.clone());
-    }
-
     /// Attach the audit outcome.
     pub fn audit(&mut self, a: AuditSummary) {
         self.snap.audit = Some(a);
@@ -429,7 +323,6 @@ fn own_labels(labels: &[(&str, String)]) -> Vec<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate;
 
     fn sample() -> Snapshot {
         let mut b = SnapshotBuilder::new(Time(3_000_000));
@@ -445,10 +338,6 @@ mod tests {
             h.record(v * 10);
         }
         b.summary("ceio_fast_latency_ns", "Fast-path delivery latency.", &h);
-        let mut ts = TimeSeries::new("cpu-involved Mpps");
-        ts.push(Time(1_000), 1.5);
-        ts.push(Time(2_000), 2.5);
-        b.series(&ts);
         b.finish()
     }
 
@@ -464,17 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn json_is_valid_and_contains_sections() {
-        let json = sample().to_json();
-        validate(&json).expect("snapshot JSON must parse");
-        assert!(json.contains("\"at_ns\":3000000"));
-        assert!(json.contains("\"metrics\":["));
-        assert!(json.contains("\"series\":["));
-        assert!(json.contains("\"audit\":null"));
-    }
-
-    #[test]
-    fn audit_violations_surface_in_both_exports() {
+    fn audit_violations_surface_in_the_export() {
         let mut b = SnapshotBuilder::new(Time(0));
         b.counter("ceio_audit_violations_total", "Audit violations.", 2);
         b.audit(AuditSummary {
@@ -487,9 +366,6 @@ mod tests {
         let text = s.to_prom_text();
         assert!(text.contains("# audit: 1 invariant(s) checked over 9 event(s), 2 violation(s)"));
         assert!(text.contains("# audit-violation: t=5ns credit-conservation"));
-        let json = s.to_json();
-        validate(&json).expect("audit JSON must parse");
-        assert!(json.contains("\"total_violations\":2"));
     }
 
     /// Golden pin of the prom exposition's escaping rules: per-queue
@@ -544,6 +420,5 @@ mod tests {
     fn empty_snapshot_exports_cleanly() {
         let s = SnapshotBuilder::new(Time(0)).finish();
         assert_eq!(s.to_prom_text(), "");
-        validate(&s.to_json()).expect("empty snapshot JSON must parse");
     }
 }

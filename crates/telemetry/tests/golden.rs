@@ -12,7 +12,7 @@
 //!
 //! and review the diff like any other code change.
 
-use ceio_sim::{Histogram, Time, TimeSeries};
+use ceio_sim::{Histogram, Time};
 use ceio_telemetry::{
     chrome_trace_json, json, merge_events, AuditSummary, SnapshotBuilder, TraceEvent, TraceKind,
 };
@@ -53,8 +53,8 @@ fn check(name: &str, actual: &str) {
 }
 
 /// A fixed snapshot exercising every metric shape the builder supports:
-/// plain and labeled counters, gauges, a summary with quantiles, a time
-/// series, and an attached audit outcome with one violation.
+/// plain and labeled counters, gauges, a summary with quantiles, and an
+/// attached audit outcome with one violation.
 fn fixture_snapshot() -> ceio_telemetry::Snapshot {
     let mut b = SnapshotBuilder::new(Time(4_000_000));
     b.counter(
@@ -106,11 +106,6 @@ fn fixture_snapshot() -> ceio_telemetry::Snapshot {
         h.record(v * 100); // 100 ns .. 100 µs, uniform.
     }
     b.summary("ceio_fast_latency_ns", "Fast-path delivery latency.", &h);
-    let mut ts = TimeSeries::new("cpu-involved Mpps");
-    ts.push(Time(1_000_000), 1.25);
-    ts.push(Time(2_000_000), 2.5);
-    ts.push(Time(3_000_000), 2.5);
-    b.series(&ts);
     b.audit(AuditSummary {
         events_checked: 5000,
         invariants: vec![
@@ -159,13 +154,6 @@ fn fixture_events() -> (Vec<TraceEvent>, u64) {
 #[test]
 fn prom_text_matches_golden() {
     check("snapshot.prom", &fixture_snapshot().to_prom_text());
-}
-
-#[test]
-fn snapshot_json_matches_golden_and_validates() {
-    let doc = fixture_snapshot().to_json();
-    json::validate(&doc).expect("snapshot JSON must parse");
-    check("snapshot.json", &doc);
 }
 
 #[test]

@@ -45,6 +45,8 @@ const SLOT: Duration = Duration::micros(100);
 const WARMUP: Duration = Duration::micros(500);
 const MEASURE: Duration = Duration::micros(500);
 const SEED: u64 = 0xCE10;
+/// Timers the hopping run cancels (one pending Emit per demand change).
+const CHURN_CANCELLED: u64 = 133;
 
 /// The destination-hopping scenario: each slot re-draws the active set
 /// uniformly from `SEED`; flows leaving it drop to zero demand.
@@ -123,14 +125,14 @@ fn turnover_scenario(link: Bandwidth) -> Scenario {
     s.build()
 }
 
-/// Build and run one CEIO echo machine; returns the report and the number
-/// of events the engine dispatched.
+/// Build and run one CEIO echo machine; returns the report, the number of
+/// events the engine dispatched, and the number of timers it cancelled.
 fn run_ceio(
     num_cores: Option<usize>,
     scenario: impl FnOnce(Bandwidth) -> Scenario,
     warmup: Duration,
     measure: Duration,
-) -> (RunReport, u64) {
+) -> (RunReport, u64, u64) {
     let host = HostConfig {
         num_cores,
         sample_window: Duration::micros(50),
@@ -149,11 +151,11 @@ fn run_ceio(
         Box::new(|_| Box::new(EchoApp::new())),
     );
     let report = run_to_report(&mut sim, warmup, measure);
-    (report, sim.events_processed())
+    (report, sim.events_processed(), sim.queue.cancelled_total())
 }
 
 /// Run the hopping scenario once.
-fn run_churn() -> (RunReport, u64) {
+fn run_churn() -> (RunReport, u64, u64) {
     run_ceio(Some(ACTIVE), hopping_scenario, WARMUP, MEASURE)
 }
 
@@ -161,7 +163,7 @@ fn run_churn() -> (RunReport, u64) {
 /// diff against `golden`.
 fn check_turnover(num_cores: Option<usize>, golden: &str, what: &str) {
     let run = || {
-        let (report, events) = run_ceio(num_cores, turnover_scenario, TURN_WARMUP, TURN_MEASURE);
+        let (report, events, _) = run_ceio(num_cores, turnover_scenario, TURN_WARMUP, TURN_MEASURE);
         assert!(
             report.involved_mpps > 0.0 && report.slow_path_pkts > 0,
             "the turnover run must deliver on both paths"
@@ -179,13 +181,21 @@ fn check_turnover(num_cores: Option<usize>, golden: &str, what: &str) {
 
 #[test]
 fn churn256_ceio_matches_golden_and_is_deterministic() {
-    let (report, events) = run_churn();
+    let (report, events, cancelled) = run_churn();
     let actual = common::render(&report, events);
     assert!(
         report.involved_mpps > 0.0 && report.slow_path_pkts > 0,
         "the churn run must deliver on both paths"
     );
-    let (again, again_events) = run_churn();
+    // Every demand retarget cancels the flow's pending Emit timer, so this
+    // fault-free run exercises cancellation; the count is pinned next to
+    // the dispatch count the golden holds.
+    assert!(cancelled > 0, "the hopping run must cancel timers");
+    assert_eq!(
+        cancelled, CHURN_CANCELLED,
+        "the hopping run's cancelled-timer count drifted"
+    );
+    let (again, again_events, _) = run_churn();
     assert_eq!(
         actual,
         common::render(&again, again_events),
